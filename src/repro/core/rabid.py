@@ -459,7 +459,8 @@ class RabidPlanner:
                         "ripped_up", name, stage="4", buffers=tree.buffer_count()
                     )
                 changed = optimize_two_paths(
-                    self.graph, tree, q_of, limit, self.config.window_margin
+                    self.graph, tree, q_of, limit, self.config.window_margin,
+                    tracer=tracer,
                 )
                 meets, _, _ = assign_buffers_to_net(
                     self.graph, tree, limit, None, tracer=tracer,

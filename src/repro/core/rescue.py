@@ -36,6 +36,7 @@ def _bufferable_tree(
     length_limit: int,
     window_margin: int,
     net_name: str,
+    tracer=None,
 ) -> Optional[RouteTree]:
     """Grow a tree from bufferable paths; None when any sink is cut off."""
     tree_tiles: Set[Tile] = {source}
@@ -60,7 +61,7 @@ def _bufferable_tree(
         )
         path = best_buffered_path(
             graph, sink, set(tree_tiles), q_of, length_limit,
-            forbidden=set(), window=window,
+            forbidden=set(), window=window, tracer=tracer,
         )
         if path is None:
             return None
@@ -75,13 +76,15 @@ def rescue_net(
     length_limit: int,
     q_of: Callable[[Tile], float],
     window_margin: int = 10,
+    tracer=None,
 ) -> Tuple[RouteTree, bool]:
     """Attempt a whole-net bufferable re-route.
 
     Preconditions: the tree's wire *and* buffer usage are recorded on the
     graph. On success returns ``(new_tree, True)`` with usage transferred;
     on failure the original tree and its usage are untouched and
-    ``(tree, False)`` is returned.
+    ``(tree, False)`` is returned. ``tracer`` receives the buffered-path
+    work counters.
 
     The whole attempt — rip, candidate wires, buffer reinsertion — runs
     inside one :class:`SiteLedger` transaction; a non-improvement (or an
@@ -98,7 +101,8 @@ def rescue_net(
     with ledger.transaction() as txn:
         tree.remove_usage(graph)
         candidate = _bufferable_tree(
-            graph, source, sinks, q_of, length_limit, window_margin, tree.net_name
+            graph, source, sinks, q_of, length_limit, window_margin,
+            tree.net_name, tracer,
         )
         if candidate is None:
             txn.rollback()  # re-adds the original tree's usage
@@ -125,14 +129,15 @@ def rescue_failing_nets(
 
     With a ``tracer``, every whole-net re-route emits a ``rescued`` event
     (or ``failed`` when the net still violates its rule) and bumps the
-    ``nets_rescued`` counter.
+    ``nets_rescued`` counter; the buffered-path searches count their
+    ``buffered_path.heap_pops`` and ``buffered_path.labels_settled``.
     """
     still_failing: List[str] = []
     for name in sorted(failing):
         tree = routes[name]
         limit = length_limits[name]
         new_tree, changed = rescue_net(
-            graph, tree, limit, q_of, window_margin
+            graph, tree, limit, q_of, window_margin, tracer
         )
         routes[name] = new_tree
         still_fails = length_violations(new_tree, limit) > 0

@@ -7,22 +7,212 @@ and buffer (Eq. 2) congestion costs, found by a wavefront expansion over
 labels ``(tile, distance since the last buffer)`` — the buffer-aware maze
 labels of Hur/Lillis and Zhou et al. that the paper cites. Afterwards the
 caller rips out and reinserts the whole net's buffers via the Stage-3 DP.
+
+The wavefront runs on the graph's flat CSR index (:meth:`TileGraph.flat`).
+A label is one integer ``s = tile * (L + 1) + j`` with ``tile = x * ny +
+y``, so heap entries are ``(d, s)`` pairs; edge costs come from the
+:class:`~repro.tilegraph.cost_cache.CongestionCostCache` lists and ``q(v)``
+from the :class:`~repro.tilegraph.ledger.SiteCostCache` list, each fetched
+once per search (usage never changes during one). ``dist``/``pred`` live
+in epoch-stamped per-graph buffers (a label-sized
+:class:`~repro.routing.maze.RoutingWorkspace`), so a search costs time in
+proportion to the labels it touches. Because ``tile`` is
+monotone in ``(x, y)`` order and ``j < L + 1``, ``s`` orders exactly like
+the ``(tile, j)`` tuples a dict-keyed wavefront would compare: ties pop in
+the same order and the returned paths are identical.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.errors import ConfigurationError
 from repro.routing.maze import (
+    RoutingWorkspace,
+    _dijkstra_flat,
+    _window_mask,
     congestion_cost,
-    scalar_edge_cost,
     soft_congestion_cost,
+    workspace_for,
 )
 from repro.routing.tree import RouteTree
 from repro.tilegraph.graph import Tile, TileGraph
+from repro.tilegraph.ledger import SiteCostCache
 
 INF = float("inf")
+
+#: Search-mask codes per tile: blocked (outside the window or forbidden),
+#: 1 for an enterable window tile, and goal.
+_BLOCKED, _GOAL = 0, 2
+
+#: Per-graph label buffers: a :class:`RoutingWorkspace` with one slot per
+#: ``(tile, j)`` label, kept apart from the graph's tile workspace and
+#: replaced by a larger one when a search needs more labels.
+_label_workspaces: "weakref.WeakKeyDictionary[TileGraph, RoutingWorkspace]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _label_workspace(graph: TileGraph, num_labels: int) -> RoutingWorkspace:
+    ws = _label_workspaces.get(graph)
+    if ws is None or ws.num_tiles < num_labels:
+        ws = _label_workspaces[graph] = RoutingWorkspace(num_labels)
+    return ws
+
+
+def _edge_costs(graph: TileGraph, wire_cost: Callable) -> List[float]:
+    """The cached per-edge-id cost list behind a built-in wire cost."""
+    if wire_cost is congestion_cost:
+        return graph.cost_cache().strict_costs()
+    if wire_cost is soft_congestion_cost:
+        return graph.cost_cache().soft_costs()
+    raise ConfigurationError(
+        "wire_cost must be congestion_cost or soft_congestion_cost"
+    )
+
+
+def _site_costs(
+    graph: TileGraph,
+    q_of: Callable[[Tile], float],
+    window: Tuple[int, int, int, int],
+) -> List[float]:
+    """``q(v)`` per tile index for every tile the search may buffer at.
+
+    The graph's own :meth:`SiteCostCache.cost_fn` is served straight from
+    the cached list; any other callable is evaluated once per window tile
+    (only window tiles are ever expanded with ``j > 0``).
+    """
+    cache = getattr(q_of, "__self__", None)
+    if isinstance(cache, SiteCostCache) and cache.graph is graph:
+        return cache.costs()
+    q = [INF] * graph.num_tiles
+    x0, y0, x1, y1 = window
+    ny = graph.ny
+    for x in range(x0, x1 + 1):
+        for y in range(y0, y1 + 1):
+            q[x * ny + y] = q_of((x, y))
+    return q
+
+
+def _search_mask(
+    graph: TileGraph,
+    goals: Set[Tile],
+    forbidden: Set[Tile],
+    window: Tuple[int, int, int, int],
+) -> bytearray:
+    """One code per tile: window membership, forbidden tiles and goals.
+
+    A goal outside the window is unreachable, and a goal inside it may be
+    entered even when forbidden.
+    """
+    x0, y0, x1, y1 = window
+    ny = graph.ny
+    mask = _window_mask(graph.flat(), window)
+    for x, y in forbidden:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            mask[x * ny + y] = _BLOCKED
+    for x, y in goals:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            mask[x * ny + y] = _GOAL
+    return mask
+
+
+def _buffered_wavefront(
+    graph: TileGraph,
+    start: Tile,
+    goals: Set[Tile],
+    q: List[float],
+    length_limit: int,
+    forbidden: Set[Tile],
+    window: Tuple[int, int, int, int],
+    costs: List[float],
+) -> Tuple[Optional[List[Tile]], int, int]:
+    """The labeled ``(tile, j)`` wavefront on flat integer labels.
+
+    Returns ``(path, heap_pops, labels_settled)``; ``path`` is the tile
+    path start first (buffer self-transitions dropped, loops kept) or
+    ``None`` when no goal is reachable.
+    """
+    flat = graph.flat()
+    adj = flat.adj
+    ny = graph.ny
+    Lp = length_limit + 1
+    mask = _search_mask(graph, goals, forbidden, window)
+    ws = _label_workspace(graph, graph.num_tiles * Lp)
+    # stamp[s] is 2 * epoch once label s has a tentative distance in this
+    # search and 2 * epoch + 1 once it is settled; anything smaller is a
+    # leftover of an earlier search.
+    labeled = 2 * ws.begin()
+    done = labeled + 1
+    dist = ws.dist
+    stamp = ws.dist_stamp
+    pred = ws.parent
+    heap = ws.heap
+    push = heapq.heappush
+    pop = heapq.heappop
+
+    s0 = (start[0] * ny + start[1]) * Lp
+    dist[s0] = 0.0
+    stamp[s0] = labeled
+    pred[s0] = -1
+    heap.append((0.0, s0))
+    goal = -1
+    pops = 0
+    settled = 0
+    while heap:
+        d, s = pop(heap)
+        pops += 1
+        if stamp[s] == done:
+            continue
+        stamp[s] = done
+        settled += 1
+        t = s // Lp
+        if mask[t] == _GOAL:
+            goal = s
+            break
+        j = s - t * Lp
+        # Buffer here (resets j); only from unbuffered labels.
+        if j:
+            qv = q[t]
+            if qv != INF:
+                nd = d + qv
+                ns = s - j
+                if stamp[ns] < labeled or nd < dist[ns]:
+                    dist[ns] = nd
+                    stamp[ns] = labeled
+                    pred[ns] = s
+                    push(heap, (nd, ns))
+        # Step to a neighbor. A run of exactly L between gates is legal
+        # (a gate may drive L units), so j may reach L.
+        if j < length_limit:
+            j += 1
+            for v, eid in adj[t]:
+                if not mask[v]:
+                    continue
+                step = costs[eid]
+                if step == INF:
+                    continue
+                nd = d + step
+                ns = v * Lp + j
+                if stamp[ns] < labeled or nd < dist[ns]:
+                    dist[ns] = nd
+                    stamp[ns] = labeled
+                    pred[ns] = s
+                    push(heap, (nd, ns))
+    if goal < 0:
+        return None, pops, settled
+    # Trace back, dropping the buffer self-transitions.
+    tiles: List[int] = []
+    s = goal
+    while s >= 0:
+        t = s // Lp
+        if not tiles or tiles[-1] != t:
+            tiles.append(t)
+        s = pred[s]
+    tiles.reverse()
+    return [(t // ny, t % ny) for t in tiles], pops, settled
 
 
 def best_buffered_path(
@@ -34,6 +224,7 @@ def best_buffered_path(
     forbidden: Set[Tile],
     window: Tuple[int, int, int, int],
     wire_cost: Callable[[TileGraph, Tile, Tile], float] = congestion_cost,
+    tracer=None,
 ) -> Optional[List[Tile]]:
     """Min-cost start-to-goal path under wire + buffer congestion costs.
 
@@ -45,72 +236,25 @@ def best_buffered_path(
 
     ``goal`` may be a single tile or a set of tiles (the path ends at the
     cheapest reachable member — used by the Stage-4 rescue pass to attach
-    a sink to an existing tree).
+    a sink to an existing tree). ``wire_cost`` is ``congestion_cost`` or
+    ``soft_congestion_cost``. With an enabled ``tracer`` the search counts
+    ``buffered_path.heap_pops`` and ``buffered_path.labels_settled``.
 
     Returns the tile path (start first) or ``None`` when no legal path
     exists within the window.
     """
-    L = length_limit
-    wire_cost = scalar_edge_cost(graph, wire_cost)
+    costs = _edge_costs(graph, wire_cost)
     goals: Set[Tile] = {goal} if isinstance(goal, tuple) else set(goal)
     if start in goals:
         return [start]
-    x0, y0, x1, y1 = window
-    dist: Dict[Tuple[Tile, int], float] = {(start, 0): 0.0}
-    pred: Dict[Tuple[Tile, int], Tuple[Tile, int]] = {}
-    heap: List[Tuple[float, Tile, int]] = [(0.0, start, 0)]
-    settled: Set[Tuple[Tile, int]] = set()
-    goal_state: Optional[Tuple[Tile, int]] = None
-    while heap:
-        d, tile, j = heapq.heappop(heap)
-        state = (tile, j)
-        if state in settled:
-            continue
-        settled.add(state)
-        if tile in goals:
-            goal_state = state
-            break
-        # Buffer here (resets j); only from unbuffered states.
-        if j > 0:
-            q = q_of(tile)
-            if q != INF:
-                nd = d + q
-                nstate = (tile, 0)
-                if nd < dist.get(nstate, INF):
-                    dist[nstate] = nd
-                    pred[nstate] = state
-                    heapq.heappush(heap, (nd, tile, 0))
-        # Step to a neighbor. A run of exactly L between gates is legal
-        # (a gate may drive L units), so j may reach L.
-        if j + 1 <= L:
-            for nbr in graph.neighbors(tile):
-                if not (x0 <= nbr[0] <= x1 and y0 <= nbr[1] <= y1):
-                    continue
-                if nbr in forbidden and nbr not in goals:
-                    continue
-                step = wire_cost(graph, tile, nbr)
-                if step == INF:
-                    continue
-                nd = d + step
-                nstate = (nbr, j + 1)
-                if nd < dist.get(nstate, INF):
-                    dist[nstate] = nd
-                    pred[nstate] = state
-                    heapq.heappush(heap, (nd, nbr, j + 1))
-    if goal_state is None:
-        return None
-    # Trace back, dropping the buffer self-transitions.
-    path: List[Tile] = []
-    state = goal_state
-    while True:
-        tile = state[0]
-        if not path or path[-1] != tile:
-            path.append(tile)
-        if state not in pred:
-            break
-        state = pred[state]
-    path.reverse()
-    return _remove_loops(path)
+    q = _site_costs(graph, q_of, window)
+    path, pops, settled = _buffered_wavefront(
+        graph, start, goals, q, length_limit, forbidden, window, costs
+    )
+    if tracer is not None and tracer.enabled:
+        tracer.count("buffered_path.heap_pops", pops)
+        tracer.count("buffered_path.labels_settled", settled)
+    return None if path is None else _remove_loops(path)
 
 
 def _remove_loops(path: List[Tile]) -> List[Tile]:
@@ -134,7 +278,7 @@ def _remove_loops(path: List[Tile]) -> List[Tile]:
     return out
 
 
-def _plain_path(
+def _wire_path(
     graph: TileGraph,
     start: Tile,
     goal: Tile,
@@ -142,38 +286,29 @@ def _plain_path(
     window: Tuple[int, int, int, int],
     wire_cost: Callable[[TileGraph, Tile, Tile], float],
 ) -> Optional[List[Tile]]:
-    """Wire-cost-only Dijkstra (used when no bufferable path exists)."""
-    wire_cost = scalar_edge_cost(graph, wire_cost)
-    x0, y0, x1, y1 = window
-    dist: Dict[Tile, float] = {start: 0.0}
-    pred: Dict[Tile, Tile] = {}
-    heap: List[Tuple[float, Tile]] = [(0.0, start)]
-    settled: Set[Tile] = set()
-    while heap:
-        d, tile = heapq.heappop(heap)
-        if tile in settled:
-            continue
-        settled.add(tile)
-        if tile == goal:
-            path = [tile]
-            while path[-1] in pred:
-                path.append(pred[path[-1]])
-            path.reverse()
-            return path
-        for nbr in graph.neighbors(tile):
-            if not (x0 <= nbr[0] <= x1 and y0 <= nbr[1] <= y1):
-                continue
-            if nbr in forbidden and nbr != goal:
-                continue
-            step = wire_cost(graph, tile, nbr)
-            if step == INF:
-                continue
-            nd = d + step
-            if nd < dist.get(nbr, INF):
-                dist[nbr] = nd
-                pred[nbr] = tile
-                heapq.heappush(heap, (nd, nbr))
-    return None
+    """Wire-cost-only path on the maze kernel (no bufferable path exists).
+
+    ``forbidden`` tiles other than ``goal`` may not be entered.
+    """
+    idx = graph.tile_index
+    start_idx, goal_idx = idx(start), idx(goal)
+    ws = workspace_for(graph)
+    target, _, _, _ = _dijkstra_flat(
+        graph.flat(),
+        ws,
+        _edge_costs(graph, wire_cost),
+        [(start_idx, 0.0)],
+        {goal_idx},
+        window,
+        blocked=[idx(t) for t in forbidden if t != goal],
+    )
+    if target < 0:
+        return None
+    path = [target]
+    while path[-1] != start_idx:
+        path.append(ws.parent[path[-1]])
+    path.reverse()
+    return [graph.tile_at(i) for i in path]
 
 
 def optimize_two_paths(
@@ -182,12 +317,14 @@ def optimize_two_paths(
     q_of: Callable[[Tile], float],
     length_limit: int,
     window_margin: int = 6,
+    tracer=None,
 ) -> int:
     """Reroute every two-path of ``tree`` at minimum combined cost.
 
     Preconditions: the tree's *wire* usage is recorded on ``graph``; its
     *buffer* usage has already been released (Stage 4 rips a net's buffers
     before rerouting it). The tree's buffer annotations are cleared here.
+    ``tracer`` receives the buffered-path work counters.
 
     Returns:
         The number of two-paths whose route changed.
@@ -201,12 +338,13 @@ def optimize_two_paths(
         forbidden = (set(tree.nodes) - set(old_path[1:-1])) - {head, tail}
         window = _window_for(graph, head, tail, window_margin)
         new_path = best_buffered_path(
-            graph, tail, head, q_of, length_limit, forbidden, window
+            graph, tail, head, q_of, length_limit, forbidden, window,
+            tracer=tracer,
         )
         if new_path is None:
             # No bufferable path within capacity; try any within-capacity
             # path (the net's buffering may still be fixed elsewhere).
-            new_path = _plain_path(
+            new_path = _wire_path(
                 graph, tail, head, forbidden, window, congestion_cost
             )
         if new_path is None and not _path_fits(graph, old_path):
@@ -223,7 +361,8 @@ def optimize_two_paths(
                 forbidden,
                 window,
                 wire_cost=soft_congestion_cost,
-            ) or _plain_path(
+                tracer=tracer,
+            ) or _wire_path(
                 graph, tail, head, forbidden, window, soft_congestion_cost
             )
         if new_path is None:

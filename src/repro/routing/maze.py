@@ -132,7 +132,8 @@ class RoutingWorkspace:
     slot only counts as written when its stamp matches, so starting a new
     search costs O(1) instead of O(num_tiles). One workspace serves any
     number of sequential searches; concurrent searches (parallel Stage 2)
-    each need their own instance.
+    each need their own instance. The Stage-4 ``(tile, j)`` wavefront
+    sizes one with a slot per label instead of per tile.
     """
 
     __slots__ = ("num_tiles", "epoch", "dist", "dist_stamp",
@@ -169,6 +170,18 @@ def workspace_for(graph: TileGraph) -> RoutingWorkspace:
     return ws
 
 
+def _window_mask(flat, window: Tuple[int, int, int, int]) -> bytearray:
+    """One byte per tile: 1 inside ``window`` (inclusive), 0 outside."""
+    x0, y0, x1, y1 = window
+    ny = flat.ny
+    mask = bytearray(flat.num_tiles)
+    row = b"\x01" * (y1 - y0 + 1)
+    for x in range(x0, x1 + 1):
+        base = x * ny + y0
+        mask[base : base + len(row)] = row
+    return mask
+
+
 def _dijkstra_flat(
     flat,
     ws: RoutingWorkspace,
@@ -176,6 +189,7 @@ def _dijkstra_flat(
     seeds: Sequence[Tuple[int, float]],
     targets: Set[int],
     window: Tuple[int, int, int, int],
+    blocked: Sequence[int] = (),
 ) -> Tuple[int, int, int, int]:
     """Flat-index wavefront from ``seeds`` until the cheapest target settles.
 
@@ -184,25 +198,22 @@ def _dijkstra_flat(
     costs. Parent links land in ``ws.parent``/``ws.parent_eid`` (valid for
     this epoch only). Seeds are expandable even when they lie outside the
     window — only *neighbor* tiles are window-clipped, matching the
-    object-graph router.
+    object-graph router. ``blocked`` tiles are never entered, exactly as
+    if they lay outside the window.
     """
-    x0, y0, x1, y1 = window
     epoch = ws.begin()
     dist = ws.dist
     dist_stamp = ws.dist_stamp
     parent = ws.parent
     parent_eid = ws.parent_eid
     adj = flat.adj
-    ny = flat.ny
     # One byte per tile doubling as window membership AND not-yet-settled:
     # a single index in the inner loop instead of a window test plus a
     # settled-stamp compare. Settling clears the byte; out-of-window tiles
     # start cleared, which excludes them exactly like a window test would.
-    live = bytearray(flat.num_tiles)
-    row = b"\x01" * (y1 - y0 + 1)
-    for x in range(x0, x1 + 1):
-        base = x * ny + y0
-        live[base : base + len(row)] = row
+    live = _window_mask(flat, window)
+    for idx in blocked:
+        live[idx] = 0
     heap = ws.heap
     for idx, c in seeds:
         dist[idx] = c

@@ -452,7 +452,11 @@ class RouteTree:
         head_node.decoupled_children.discard(first_old.tile)
         head_node.decoupled_kinds.pop(first_old.tile, None)
         for t in interior_old:
-            del self.nodes[t]
+            # Unlink the dead node so its parent/children cycle is freed by
+            # reference counting instead of waiting for the cyclic GC.
+            dead = self.nodes.pop(t)
+            dead.parent = None
+            dead.children = []
         # Attach new interior.
         prev = head_node
         for t in interior_new:

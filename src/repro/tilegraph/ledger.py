@@ -353,6 +353,11 @@ class SiteCostCache:
 
     # -- lookup --------------------------------------------------------- #
 
+    @property
+    def graph(self) -> "TileGraph":
+        """The graph whose ``q(v)`` this cache serves."""
+        return self._graph
+
     def costs(self) -> List[float]:
         """The flat ``q(v)`` list, refreshed if stale.
 
@@ -370,15 +375,9 @@ class SiteCostCache:
     def cost_fn(self):
         """A ``q(v)`` callable over tiles, reading the cached list.
 
-        Refreshes lazily on every call (the staleness probe is two
-        attribute reads), so the closure stays correct across the site
-        bookings interleaved with Stage-4 path searches.
+        It is the bound :meth:`cost`, so it refreshes lazily on every call
+        and stays correct across the site bookings interleaved with
+        Stage-4 path searches. The Stage-4 wavefront recognizes it and
+        reads :meth:`costs` directly instead of calling it per tile.
         """
-        ny = self._graph.ny
-
-        def q_of(tile: "Tile") -> float:
-            if self._all_dirty or self._dirty:
-                self.refresh()
-            return self._costs[tile[0] * ny + tile[1]]
-
-        return q_of
+        return self.cost

@@ -74,48 +74,58 @@ class TestRoutingKernelGolden:
             assert got[name] == want[name], f"net {name} routed differently"
 
 
+def _assert_planner_matches_golden(filename):
+    """Re-run the full planner a golden was recorded with and diff it."""
+    from repro.benchmarks import load_benchmark
+    from repro.core import RabidConfig, RabidPlanner
+
+    golden = load_golden(filename)
+    bench = load_benchmark(golden["circuit"], seed=golden["seed"])
+    config = RabidConfig(
+        length_limit=bench.spec.length_limit,
+        window_margin=10,
+        stage4_iterations=golden["stage4_iterations"],
+    )
+    result = RabidPlanner(bench.graph, bench.netlist, config).run()
+
+    routes = {
+        name: sorted(
+            [list(min(u, v)), list(max(u, v))] for u, v in tree.edges()
+        )
+        for name, tree in result.routes.items()
+    }
+    want_routes = {
+        name: [[list(e[0]), list(e[1])] for e in edges]
+        for name, edges in golden["routes"].items()
+    }
+    assert routes == want_routes
+
+    buffers = {
+        name: [
+            [list(s.tile), list(s.drives_child) if s.drives_child else None]
+            for s in tree.buffer_specs()
+        ]
+        for name, tree in result.routes.items()
+    }
+    want_buffers = {
+        name: [
+            [list(b[0]), list(b[1]) if b[1] is not None else None]
+            for b in specs
+        ]
+        for name, specs in golden["buffers"].items()
+    }
+    assert buffers == want_buffers
+    assert bench.graph.used_sites.tolist() == golden["used_sites"]
+    assert sorted(result.failed_nets) == sorted(golden["failed_nets"])
+    assert result.final_metrics.overflows == golden["overflows"]
+
+
 @pytest.mark.slow
 class TestPlannerGolden:
     def test_apte_planner_matches_golden(self):
-        from repro.benchmarks import load_benchmark
-        from repro.core import RabidConfig, RabidPlanner
+        _assert_planner_matches_golden("planner_apte_seed0.json")
 
-        golden = load_golden("planner_apte_seed0.json")
-        bench = load_benchmark(golden["circuit"], seed=golden["seed"])
-        config = RabidConfig(
-            length_limit=bench.spec.length_limit,
-            window_margin=10,
-            stage4_iterations=golden["stage4_iterations"],
-        )
-        result = RabidPlanner(bench.graph, bench.netlist, config).run()
-
-        routes = {
-            name: sorted(
-                [list(min(u, v)), list(max(u, v))] for u, v in tree.edges()
-            )
-            for name, tree in result.routes.items()
-        }
-        want_routes = {
-            name: [[list(e[0]), list(e[1])] for e in edges]
-            for name, edges in golden["routes"].items()
-        }
-        assert routes == want_routes
-
-        buffers = {
-            name: [
-                [list(s.tile), list(s.drives_child) if s.drives_child else None]
-                for s in tree.buffer_specs()
-            ]
-            for name, tree in result.routes.items()
-        }
-        want_buffers = {
-            name: [
-                [list(b[0]), list(b[1]) if b[1] is not None else None]
-                for b in specs
-            ]
-            for name, specs in golden["buffers"].items()
-        }
-        assert buffers == want_buffers
-        assert bench.graph.used_sites.tolist() == golden["used_sites"]
-        assert sorted(result.failed_nets) == sorted(golden["failed_nets"])
-        assert result.final_metrics.overflows == golden["overflows"]
+    def test_ami49_planner_matches_golden(self):
+        # The full default plan (two Stage-4 passes plus rescue), which
+        # spends most of its time in the buffered (tile, j) wavefront.
+        _assert_planner_matches_golden("planner_ami49_seed0.json")
