@@ -22,7 +22,11 @@ from repro.bounds.certificate import (
     save_certificate,
     verify_certificate,
 )
-from repro.bounds.gap import gap_metrics, plan_surrogate_cost
+from repro.bounds.gap import (
+    gap_metrics,
+    optimality_gap,
+    plan_surrogate_cost,
+)
 from repro.bounds.oracle import (
     BOUND_MODES,
     BoundOptions,
@@ -49,6 +53,7 @@ __all__ = [
     "compute_bound",
     "gap_metrics",
     "load_certificate",
+    "optimality_gap",
     "plan_surrogate_cost",
     "round_candidates",
     "save_certificate",

@@ -133,6 +133,7 @@ def verify_certificate(
     limits: Dict[str, int],
     window_margin: int = 10,
     tolerance: float = VERIFY_TOLERANCE,
+    tracer=None,
 ) -> Dict[str, Any]:
     """Independently re-check a certificate against its workload.
 
@@ -140,8 +141,10 @@ def verify_certificate(
     the worst per-net dual violation, and the re-derived bound. The
     check is one pricing sweep — the same cost as a single oracle
     iteration — and never trusts the certificate's own arithmetic.
+    With an enabled ``tracer`` the re-pricing counts ``bound.heap_pops``
+    and ``bound.labels_settled``.
     """
-    pricer = PathPricer(graph, window_margin)
+    pricer = PathPricer(graph, window_margin, tracer=tracer)
     num_edges = len(graph.edge_capacity)
     num_tiles = len(graph.sites_flat)
     edge_lengths = [INF] * num_edges
@@ -169,6 +172,9 @@ def verify_certificate(
         if site_lengths[idx] < INF
     )
 
+    edge_costs, site_costs = pricer.step_costs(
+        edge_lengths, site_lengths, certificate.theta
+    )
     worst_violation = 0.0
     total_duals = 0.0
     checked = 0
@@ -176,11 +182,9 @@ def verify_certificate(
         if name not in nets:
             return {"ok": False, "error": f"unknown net {name!r}"}
         source, sinks = nets[name]
-        priced = pricer.price(
-            source, list(sinks), limits[name],
-            edge_lengths, site_lengths,
+        priced = pricer.price_steps(
+            source, list(sinks), limits[name], edge_costs, site_costs,
             certificate.wire_cost, certificate.buffer_cost,
-            scale=certificate.theta,
         )
         true_value = priced.dual_value()
         # Dual feasibility: the claimed u_i may not exceed the true

@@ -8,7 +8,9 @@ keys into the scenario's metrics dict, so frontier reports and
 * ``lower_bound`` — the certified bound on ``wirelength_tiles +
   buffers`` (the linear surrogate both sides share);
 * ``optimality_gap`` — ``(plan - bound) / bound``, i.e. "the RABID plan
-  is within X of optimal"; ``None`` when no bound exists;
+  is within X of optimal"; ``None`` whenever the plan is not a feasible
+  solution the bound applies to, with ``gap_reason`` saying why (see
+  :func:`optimality_gap`);
 * ``certified_infeasible`` + ``infeasible_reason`` — the dual proof
   that no fractional (hence no integral) plan fits the capacities, the
   triage signal for all-infeasible sweeps;
@@ -20,7 +22,7 @@ byte-identical no matter how many sweep workers evaluated the scenario.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.bounds.oracle import BoundOptions, bound_scenario
 from repro.obs import NULL_TRACER
@@ -29,6 +31,32 @@ from repro.obs import NULL_TRACER
 def plan_surrogate_cost(metrics: Dict[str, Any]) -> float:
     """The plan-side value the bound is compared against."""
     return float(metrics["wirelength_tiles"]) + float(metrics["buffers"])
+
+
+def optimality_gap(
+    result, plan_metrics: Dict[str, Any]
+) -> Tuple[Optional[float], str]:
+    """``(gap, gap_reason)`` of a plan against a bound result.
+
+    The gap ``(plan - bound) / max(bound, 1)`` only means "within X of
+    optimal" for a plan that routes every net inside the capacities.
+    Otherwise it is ``None`` and ``gap_reason`` names the first failing
+    condition: ``"no-bound"``, ``"certified-infeasible"`` (no feasible
+    plan exists, so the bound may exceed any plan's cost),
+    ``"unassigned-nets"`` or ``"plan-overflow"``. ``gap_reason`` is
+    ``""`` when a gap is reported.
+    """
+    bound = result.lower_bound
+    if bound is None:
+        return None, "no-bound"
+    if result.certified_infeasible:
+        return None, "certified-infeasible"
+    if plan_metrics["unassigned_nets"]:
+        return None, "unassigned-nets"
+    if plan_metrics.get("overflow", 0):
+        return None, "plan-overflow"
+    plan = plan_surrogate_cost(plan_metrics)
+    return round((plan - bound) / max(bound, 1.0), 6), ""
 
 
 def gap_metrics(
@@ -46,15 +74,13 @@ def gap_metrics(
     )
     result = bound_scenario(scenario, options, tracer=tracer)
     bound = result.lower_bound
-    gap: Optional[float] = None
-    if bound is not None:
-        plan = plan_surrogate_cost(plan_metrics)
-        gap = round((plan - bound) / max(bound, 1.0), 6)
-        if tracer.enabled:
-            tracer.observe("bound.gap", gap)
+    gap, reason = optimality_gap(result, plan_metrics)
+    if gap is not None and tracer.enabled:
+        tracer.observe("bound.gap", gap)
     return {
         "lower_bound": None if bound is None else round(bound, 6),
         "optimality_gap": gap,
+        "gap_reason": reason,
         "certified_infeasible": result.certified_infeasible,
         "infeasible_reason": result.infeasible_reason,
         "bound_lambda": round(result.lambda_lb, 6),

@@ -229,11 +229,13 @@ def compute_bound(
     options = options or BoundOptions()
     tracer = tracer if tracer is not None else NULL_TRACER
     start = time.perf_counter()
-    pricer = PathPricer(graph, options.window_margin)
+    pricer = PathPricer(graph, options.window_margin, tracer=tracer)
     # Plain Python lists: keeps the hot pricing loop free of numpy
     # scalar boxing and the result JSON-serializable.
     capacities = graph.edge_capacity.tolist()
     site_caps = graph.sites_flat.tolist()
+    # INF exactly on zero-capacity edges and site-less tiles, so both
+    # lists double as unscaled pricing step costs.
     edge_lengths = [1.0 / cap if cap > 0 else INF for cap in capacities]
     site_lengths = [1.0 / cap if cap > 0 else INF for cap in site_caps]
     names = sorted(nets)
@@ -249,7 +251,7 @@ def compute_bound(
                 if name in structural:
                     continue
                 source, sinks = nets[name]
-                priced = pricer.price(
+                priced = pricer.price_steps(
                     source, list(sinks), limits[name],
                     edge_lengths, site_lengths,
                     options.wire_cost, options.buffer_cost,
@@ -301,47 +303,22 @@ def compute_bound(
     unconstrained: Optional[float] = None
     lambda_numerator = 0.0
     with tracer.span("bound.linesearch", thetas=len(options.theta_grid)):
-        for theta in sorted(set(options.theta_grid)):
-            total = 0.0
-            duals: Dict[str, float] = {}
-            for name in names:
-                if name in structural:
-                    continue
-                source, sinks = nets[name]
-                priced = pricer.price(
-                    source, list(sinks), limits[name],
-                    edge_lengths, site_lengths,
-                    options.wire_cost, options.buffer_cost,
-                    scale=theta,
-                )
-                pricing_calls += 1
-                value = priced.dual_value()
-                if value >= INF:
-                    structural.add(name)
-                    continue
-                duals[name] = value
-                total += value
-            lb = total - theta * dual_load
-            if theta == 0.0:
-                unconstrained = total if duals or not names else None
-            if duals and lb > best_lb:
-                best_lb = lb
-                best_theta = theta
-                best_duals = duals
 
         def _price_theta(theta: float) -> "Tuple[float, Dict[str, float]]":
             nonlocal pricing_calls
+            edge_costs, site_costs = pricer.step_costs(
+                edge_lengths, site_lengths, theta
+            )
             total = 0.0
             duals: Dict[str, float] = {}
             for name in names:
                 if name in structural:
                     continue
                 source, sinks = nets[name]
-                priced = pricer.price(
+                priced = pricer.price_steps(
                     source, list(sinks), limits[name],
-                    edge_lengths, site_lengths,
+                    edge_costs, site_costs,
                     options.wire_cost, options.buffer_cost,
-                    scale=theta,
                 )
                 pricing_calls += 1
                 value = priced.dual_value()
@@ -351,6 +328,15 @@ def compute_bound(
                 duals[name] = value
                 total += value
             return total - theta * dual_load, duals
+
+        for theta in sorted(set(options.theta_grid)):
+            lb, duals = _price_theta(theta)
+            if theta == 0.0:
+                unconstrained = lb if duals or not names else None
+            if duals and lb > best_lb:
+                best_lb = lb
+                best_theta = theta
+                best_duals = duals
 
         # Golden-section refinement inside the bracket around the best
         # grid theta. LB(theta) is concave, so the peak lies between the
@@ -392,7 +378,7 @@ def compute_bound(
             if name in structural:
                 continue
             source, sinks = nets[name]
-            priced = pricer.price(
+            priced = pricer.price_steps(
                 source, list(sinks), limits[name],
                 edge_lengths, site_lengths,
                 wire_cost=0.0, buffer_cost=0.0,

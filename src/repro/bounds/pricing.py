@@ -11,8 +11,8 @@ gate's *total* driven length, so every source-sink path inside a
 feasible tree is itself a feasible buffered path; pricing over paths
 therefore under-approximates trees, exactly what a lower bound needs).
 
-The search runs Dijkstra over layered states ``(tile, d)`` where ``d``
-is the tile distance since the last gate:
+The search runs over labels ``(tile, d)`` where ``d`` is the tile
+distance since the last gate:
 
 * a wire step to a neighbor costs ``wire_cost + scale * l(e)`` and
   advances ``d`` by one (blocked when ``d + 1 > L``);
@@ -21,8 +21,13 @@ is the tile distance since the last gate:
   only on tiles with ``B(v) > 0`` sites;
 * zero-capacity edges and zero-site tiles are never used.
 
-One Dijkstra per net prices every sink at once. The search is windowed
-like :mod:`repro.routing.maze` (bounding box of the pins plus a margin,
+It is the Stage-4 labeled wavefront
+(:func:`repro.routing.maze._buffered_wavefront`) in its multi-goal mode:
+one search per net prices every sink at once and stops as soon as each
+sink tile has settled its first label. Every oracle phase has strictly
+positive step costs, so that label is the sink's cheapest, with the
+lowest ``d`` among equals. The search is windowed like
+:mod:`repro.routing.maze` (bounding box of the pins plus a margin,
 escalating to the whole grid before declaring a sink unreachable), so
 an infinite price is a *structural* certificate: no buffered path obeys
 the spacing rule given the site placement at any congestion level.
@@ -30,11 +35,18 @@ the spacing rule given the site placement at any congestion level.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs import NULL_TRACER
+from repro.routing.maze import (
+    _buffered_wavefront,
+    _label_chain,
+    _label_workspace,
+    _search_mask,
+    _search_window,
+)
 from repro.tilegraph.graph import TileGraph
 
 Tile = Tuple[int, int]
@@ -56,7 +68,7 @@ class PricedPath:
 
 @dataclass
 class NetPricing:
-    """All sinks of one net, priced by a single layered Dijkstra."""
+    """All sinks of one net, priced by a single labeled search."""
 
     source: Tile
     costs: Dict[Tile, float]
@@ -77,21 +89,45 @@ class NetPricing:
 
 
 class PathPricer:
-    """Reusable layered-Dijkstra kernel over one graph.
+    """Prices nets on one graph with the shared labeled wavefront.
 
-    Scratch arrays are allocated per call (sizes depend on the window
-    and the net's length limit); the flat adjacency is built once.
+    With an enabled ``tracer`` every search counts ``bound.heap_pops``
+    and ``bound.labels_settled``.
     """
 
-    def __init__(self, graph: TileGraph, window_margin: int = 10) -> None:
+    def __init__(
+        self, graph: TileGraph, window_margin: int = 10, tracer=None
+    ) -> None:
         if window_margin < 0:
             raise ConfigurationError("window_margin must be >= 0")
         self.graph = graph
         self.flat = graph.flat()
         self.window_margin = window_margin
-        self._sites = graph.sites_flat
+        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     # ------------------------------------------------------------------ #
+
+    def step_costs(
+        self,
+        edge_lengths: Sequence[float],
+        site_lengths: Sequence[float],
+        scale: float = 1.0,
+    ) -> Tuple[Sequence[float], List[float]]:
+        """Dual step costs ``scale * l(e)`` and ``scale * s(v)``.
+
+        ``INF`` marks an unusable edge or a tile without buffer sites.
+        With ``scale == 1.0`` the edge list is ``edge_lengths`` itself;
+        the site list is always a fresh copy masked by ``B(v) > 0``.
+        """
+        if scale == 1.0:
+            edges: Sequence[float] = edge_lengths
+        else:
+            edges = [scale * l if l < INF else INF for l in edge_lengths]
+        sites = [
+            scale * s if cap > 0 and s < INF else INF
+            for s, cap in zip(site_lengths, self.graph.sites_flat.tolist())
+        ]
+        return edges, sites
 
     def price(
         self,
@@ -109,7 +145,32 @@ class PathPricer:
 
         ``scale`` multiplies the dual terms only (the theta of the
         oracle's line search); base ``wire_cost``/``buffer_cost`` are
-        charged per edge / per buffer regardless.
+        charged per edge / per buffer regardless. Callers pricing many
+        nets at one scale build :meth:`step_costs` once and call
+        :meth:`price_steps` instead.
+        """
+        edge_costs, site_costs = self.step_costs(
+            edge_lengths, site_lengths, scale
+        )
+        return self.price_steps(
+            source, sinks, length_limit, edge_costs, site_costs,
+            wire_cost, buffer_cost, collect_paths,
+        )
+
+    def price_steps(
+        self,
+        source: Tile,
+        sinks: Sequence[Tile],
+        length_limit: int,
+        edge_costs: Sequence[float],
+        site_costs: Sequence[float],
+        wire_cost: float = 1.0,
+        buffer_cost: float = 1.0,
+        collect_paths: bool = False,
+    ) -> NetPricing:
+        """:meth:`price` on prebuilt :meth:`step_costs` lists.
+
+        ``site_costs`` must be ``INF`` on every tile without sites.
         """
         if length_limit < 1:
             raise ConfigurationError("length_limit must be >= 1")
@@ -122,8 +183,8 @@ class PathPricer:
         result: Optional[NetPricing] = None
         for margin in margins:
             result = self._search(
-                source, sinks, length_limit, edge_lengths, site_lengths,
-                wire_cost, buffer_cost, scale, margin, collect_paths,
+                source, sinks, length_limit, edge_costs, site_costs,
+                wire_cost, buffer_cost, margin, collect_paths,
             )
             if result.reachable:
                 return result
@@ -137,108 +198,52 @@ class PathPricer:
         source: Tile,
         sinks: Sequence[Tile],
         length_limit: int,
-        edge_lengths: Sequence[float],
-        site_lengths: Sequence[float],
+        edge_costs: Sequence[float],
+        site_costs: Sequence[float],
         wire_cost: float,
         buffer_cost: float,
-        scale: float,
         margin: int,
         collect_paths: bool,
     ) -> NetPricing:
-        flat = self.flat
-        ny = flat.ny
-        sites = self._sites
-        layers = length_limit + 1
-        num_states = flat.num_tiles * layers
+        graph = self.graph
+        ny = graph.ny
+        Lp = length_limit + 1
+        window = _search_window(graph, [source, *sinks], margin)
+        ws = _label_workspace(graph, graph.num_tiles * Lp)
+        found, pops, settled = _buffered_wavefront(
+            self.flat, ws, source[0] * ny + source[1],
+            _search_mask(graph, sinks, (), window), site_costs,
+            length_limit, edge_costs, len(set(sinks)), wire_cost, buffer_cost,
+        )
+        if self.tracer.enabled:
+            self.tracer.count("bound.heap_pops", pops)
+            self.tracer.count("bound.labels_settled", settled)
 
-        xs = [source[0], *(s[0] for s in sinks)]
-        ys = [source[1], *(s[1] for s in sinks)]
-        x_lo = max(0, min(xs) - margin)
-        x_hi = min(flat.nx - 1, max(xs) + margin)
-        y_lo = max(0, min(ys) - margin)
-        y_hi = min(flat.ny - 1, max(ys) + margin)
-        tile_x = flat.tile_x
-        tile_y = flat.tile_y
-
-        dist = [INF] * num_states
-        parent = [-1] * num_states if collect_paths else None
-        via = [-1] * num_states if collect_paths else None
-
-        src_idx = source[0] * ny + source[1]
-        start = src_idx * layers  # (source, d=0)
-        dist[start] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, start)]
-        adj = flat.adj
-        targets = {s[0] * ny + s[1] for s in sinks}
-        remaining = {t: layers for t in targets}  # states left per target
-
-        while heap:
-            d_cur, state = heapq.heappop(heap)
-            if d_cur > dist[state]:
-                continue
-            tile = state // layers
-            depth = state - tile * layers
-            if tile in remaining:
-                remaining[tile] -= 1
-                if remaining[tile] <= 0:
-                    del remaining[tile]
-                    if not remaining:
-                        break
-            # Buffer insertion: reset the spacing counter on a site tile.
-            if depth > 0 and sites[tile] > 0:
-                s_len = site_lengths[tile]
-                if s_len < INF:
-                    nd = d_cur + buffer_cost + scale * s_len
-                    nstate = tile * layers
-                    if nd < dist[nstate]:
-                        dist[nstate] = nd
-                        if collect_paths:
-                            parent[nstate] = state
-                            via[nstate] = -2  # buffer marker
-                        heapq.heappush(heap, (nd, nstate))
-            # Wire step: advance one tile, spend one unit of drive length.
-            if depth + 1 >= layers:
-                continue
-            for nbr, eid in adj[tile]:
-                if not (x_lo <= tile_x[nbr] <= x_hi and y_lo <= tile_y[nbr] <= y_hi):
-                    continue
-                e_len = edge_lengths[eid]
-                if e_len >= INF:
-                    continue
-                nd = d_cur + wire_cost + scale * e_len
-                nstate = nbr * layers + depth + 1
-                if nd < dist[nstate]:
-                    dist[nstate] = nd
-                    if collect_paths:
-                        parent[nstate] = state
-                        via[nstate] = eid
-                    heapq.heappush(heap, (nd, nstate))
-
+        dist = ws.dist
+        label_of = {s // Lp: s for s in found}
         costs: Dict[Tile, float] = {}
         paths: Dict[Tile, PricedPath] = {}
         for sink in sinks:
-            t_idx = sink[0] * ny + sink[1]
-            base = t_idx * layers
-            best_state = min(
-                range(base, base + layers), key=lambda s: dist[s]
-            )
-            best = dist[best_state]
-            costs[sink] = best
-            if collect_paths and best < INF:
-                edges: List[int] = []
-                buffers: List[int] = []
-                state = best_state
-                while state != start and parent is not None:
-                    step = via[state]
-                    if step == -2:
-                        buffers.append(state // layers)
-                    else:
-                        edges.append(step)
-                    state = parent[state]
-                paths[sink] = PricedPath(
-                    sink=sink,
-                    cost=best,
-                    edges=tuple(reversed(edges)),
-                    buffers=tuple(reversed(buffers)),
-                )
+            label = label_of.get(sink[0] * ny + sink[1])
+            costs[sink] = INF if label is None else dist[label]
+            if collect_paths and label is not None:
+                paths[sink] = self._trace(sink, label, Lp, dist[label], ws)
         return NetPricing(source=source, costs=costs, paths=paths)
+
+    def _trace(
+        self, sink: Tile, label: int, Lp: int, cost: float, ws
+    ) -> PricedPath:
+        """The edges and buffers along the labels from the source."""
+        adj = self.flat.adj
+        edges: List[int] = []
+        buffers: List[int] = []
+        chain = _label_chain(ws, label)
+        for prev, cur in zip(chain, chain[1:]):
+            tile, prev_tile = cur // Lp, prev // Lp
+            if tile == prev_tile:
+                buffers.append(tile)
+            else:
+                edges.append(next(e for v, e in adj[prev_tile] if v == tile))
+        return PricedPath(
+            sink=sink, cost=cost, edges=tuple(edges), buffers=tuple(buffers)
+        )

@@ -688,19 +688,17 @@ def _cmd_bound(args) -> int:
     result = bound_scenario(scenario, options)
     payload = result.summary()
     if args.compare:
-        from repro.bounds.gap import plan_surrogate_cost
+        from repro.bounds.gap import optimality_gap, plan_surrogate_cost
         from repro.explore.executor import metrics_from_state
         from repro.service.engine import full_plan
 
         metrics = metrics_from_state(full_plan(scenario))
-        plan = plan_surrogate_cost(metrics)
-        payload["plan_cost"] = plan
+        payload["plan_cost"] = plan_surrogate_cost(metrics)
         payload["plan_unassigned_nets"] = metrics["unassigned_nets"]
-        if result.lower_bound is not None:
-            payload["optimality_gap"] = round(
-                (plan - result.lower_bound) / max(result.lower_bound, 1.0),
-                6,
-            )
+        payload["plan_overflow"] = metrics["overflow"]
+        payload["optimality_gap"], payload["gap_reason"] = optimality_gap(
+            result, metrics
+        )
     if args.round_plan:
         rounded = round_candidates(
             build_graph(scenario), result.candidates, seed=args.seed
@@ -741,10 +739,13 @@ def _cmd_bound(args) -> int:
                 f"(structural nets: {len(payload['structural_nets'])})"
             )
         if "plan_cost" in payload:
-            gap = payload.get("optimality_gap")
+            gap = payload["optimality_gap"]
             print(
-                f"plan cost {payload['plan_cost']}"
-                + (f", optimality gap {gap}" if gap is not None else "")
+                f"plan cost {payload['plan_cost']}, "
+                + (
+                    f"optimality gap {gap}" if gap is not None
+                    else f"no optimality gap ({payload['gap_reason']})"
+                )
             )
         if "rounded" in payload:
             r = payload["rounded"]

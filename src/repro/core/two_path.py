@@ -8,31 +8,28 @@ labels ``(tile, distance since the last buffer)`` — the buffer-aware maze
 labels of Hur/Lillis and Zhou et al. that the paper cites. Afterwards the
 caller rips out and reinserts the whole net's buffers via the Stage-3 DP.
 
-The wavefront runs on the graph's flat CSR index (:meth:`TileGraph.flat`).
-A label is one integer ``s = tile * (L + 1) + j`` with ``tile = x * ny +
-y``, so heap entries are ``(d, s)`` pairs; edge costs come from the
+The search is the shared labeled wavefront
+:func:`repro.routing.maze._buffered_wavefront` on the graph's flat CSR
+index, in its single-goal mode: edge costs come from the
 :class:`~repro.tilegraph.cost_cache.CongestionCostCache` lists and ``q(v)``
 from the :class:`~repro.tilegraph.ledger.SiteCostCache` list, each fetched
-once per search (usage never changes during one). ``dist``/``pred`` live
-in epoch-stamped per-graph buffers (a label-sized
-:class:`~repro.routing.maze.RoutingWorkspace`), so a search costs time in
-proportion to the labels it touches. Because ``tile`` is
-monotone in ``(x, y)`` order and ``j < L + 1``, ``s`` orders exactly like
-the ``(tile, j)`` tuples a dict-keyed wavefront would compare: ties pop in
-the same order and the returned paths are identical.
+once per search (usage never changes during one), and ``dist``/``pred``
+live in epoch-stamped per-graph label buffers. Integer labels order exactly
+like the ``(tile, j)`` tuples a dict-keyed wavefront would compare, so ties
+pop in the same order and the returned paths are identical.
 """
 
 from __future__ import annotations
 
-import heapq
-import weakref
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.routing.maze import (
-    RoutingWorkspace,
+    _buffered_wavefront,
     _dijkstra_flat,
-    _window_mask,
+    _label_chain,
+    _label_workspace,
+    _search_mask,
     congestion_cost,
     soft_congestion_cost,
     workspace_for,
@@ -42,24 +39,6 @@ from repro.tilegraph.graph import Tile, TileGraph
 from repro.tilegraph.ledger import SiteCostCache
 
 INF = float("inf")
-
-#: Search-mask codes per tile: blocked (outside the window or forbidden),
-#: 1 for an enterable window tile, and goal.
-_BLOCKED, _GOAL = 0, 2
-
-#: Per-graph label buffers: a :class:`RoutingWorkspace` with one slot per
-#: ``(tile, j)`` label, kept apart from the graph's tile workspace and
-#: replaced by a larger one when a search needs more labels.
-_label_workspaces: "weakref.WeakKeyDictionary[TileGraph, RoutingWorkspace]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _label_workspace(graph: TileGraph, num_labels: int) -> RoutingWorkspace:
-    ws = _label_workspaces.get(graph)
-    if ws is None or ws.num_tiles < num_labels:
-        ws = _label_workspaces[graph] = RoutingWorkspace(num_labels)
-    return ws
 
 
 def _edge_costs(graph: TileGraph, wire_cost: Callable) -> List[float]:
@@ -96,125 +75,6 @@ def _site_costs(
     return q
 
 
-def _search_mask(
-    graph: TileGraph,
-    goals: Set[Tile],
-    forbidden: Set[Tile],
-    window: Tuple[int, int, int, int],
-) -> bytearray:
-    """One code per tile: window membership, forbidden tiles and goals.
-
-    A goal outside the window is unreachable, and a goal inside it may be
-    entered even when forbidden.
-    """
-    x0, y0, x1, y1 = window
-    ny = graph.ny
-    mask = _window_mask(graph.flat(), window)
-    for x, y in forbidden:
-        if x0 <= x <= x1 and y0 <= y <= y1:
-            mask[x * ny + y] = _BLOCKED
-    for x, y in goals:
-        if x0 <= x <= x1 and y0 <= y <= y1:
-            mask[x * ny + y] = _GOAL
-    return mask
-
-
-def _buffered_wavefront(
-    graph: TileGraph,
-    start: Tile,
-    goals: Set[Tile],
-    q: List[float],
-    length_limit: int,
-    forbidden: Set[Tile],
-    window: Tuple[int, int, int, int],
-    costs: List[float],
-) -> Tuple[Optional[List[Tile]], int, int]:
-    """The labeled ``(tile, j)`` wavefront on flat integer labels.
-
-    Returns ``(path, heap_pops, labels_settled)``; ``path`` is the tile
-    path start first (buffer self-transitions dropped, loops kept) or
-    ``None`` when no goal is reachable.
-    """
-    flat = graph.flat()
-    adj = flat.adj
-    ny = graph.ny
-    Lp = length_limit + 1
-    mask = _search_mask(graph, goals, forbidden, window)
-    ws = _label_workspace(graph, graph.num_tiles * Lp)
-    # stamp[s] is 2 * epoch once label s has a tentative distance in this
-    # search and 2 * epoch + 1 once it is settled; anything smaller is a
-    # leftover of an earlier search.
-    labeled = 2 * ws.begin()
-    done = labeled + 1
-    dist = ws.dist
-    stamp = ws.dist_stamp
-    pred = ws.parent
-    heap = ws.heap
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    s0 = (start[0] * ny + start[1]) * Lp
-    dist[s0] = 0.0
-    stamp[s0] = labeled
-    pred[s0] = -1
-    heap.append((0.0, s0))
-    goal = -1
-    pops = 0
-    settled = 0
-    while heap:
-        d, s = pop(heap)
-        pops += 1
-        if stamp[s] == done:
-            continue
-        stamp[s] = done
-        settled += 1
-        t = s // Lp
-        if mask[t] == _GOAL:
-            goal = s
-            break
-        j = s - t * Lp
-        # Buffer here (resets j); only from unbuffered labels.
-        if j:
-            qv = q[t]
-            if qv != INF:
-                nd = d + qv
-                ns = s - j
-                if stamp[ns] < labeled or nd < dist[ns]:
-                    dist[ns] = nd
-                    stamp[ns] = labeled
-                    pred[ns] = s
-                    push(heap, (nd, ns))
-        # Step to a neighbor. A run of exactly L between gates is legal
-        # (a gate may drive L units), so j may reach L.
-        if j < length_limit:
-            j += 1
-            for v, eid in adj[t]:
-                if not mask[v]:
-                    continue
-                step = costs[eid]
-                if step == INF:
-                    continue
-                nd = d + step
-                ns = v * Lp + j
-                if stamp[ns] < labeled or nd < dist[ns]:
-                    dist[ns] = nd
-                    stamp[ns] = labeled
-                    pred[ns] = s
-                    push(heap, (nd, ns))
-    if goal < 0:
-        return None, pops, settled
-    # Trace back, dropping the buffer self-transitions.
-    tiles: List[int] = []
-    s = goal
-    while s >= 0:
-        t = s // Lp
-        if not tiles or tiles[-1] != t:
-            tiles.append(t)
-        s = pred[s]
-    tiles.reverse()
-    return [(t // ny, t % ny) for t in tiles], pops, settled
-
-
 def best_buffered_path(
     graph: TileGraph,
     start: Tile,
@@ -248,13 +108,25 @@ def best_buffered_path(
     if start in goals:
         return [start]
     q = _site_costs(graph, q_of, window)
-    path, pops, settled = _buffered_wavefront(
-        graph, start, goals, q, length_limit, forbidden, window, costs
+    ny = graph.ny
+    Lp = length_limit + 1
+    ws = _label_workspace(graph, graph.num_tiles * Lp)
+    found, pops, settled = _buffered_wavefront(
+        graph.flat(), ws, start[0] * ny + start[1],
+        _search_mask(graph, goals, forbidden, window), q, length_limit, costs,
     )
     if tracer is not None and tracer.enabled:
         tracer.count("buffered_path.heap_pops", pops)
         tracer.count("buffered_path.labels_settled", settled)
-    return None if path is None else _remove_loops(path)
+    if not found:
+        return None
+    # Drop the buffer self-transitions.
+    tiles: List[int] = []
+    for s in _label_chain(ws, found[0]):
+        t = s // Lp
+        if not tiles or tiles[-1] != t:
+            tiles.append(t)
+    return _remove_loops([(t // ny, t % ny) for t in tiles])
 
 
 def _remove_loops(path: List[Tile]) -> List[Tile]:

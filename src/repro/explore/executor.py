@@ -39,6 +39,10 @@ from repro.obs import NULL_TRACER
 from repro.service.engine import PlanState, full_plan, plan_cost
 from repro.service.incremental import incremental_replan
 from repro.service.jobs import ScenarioSpec
+from repro.tilegraph.congestion import (
+    buffer_density_stats,
+    wire_congestion_stats,
+)
 from repro.timing.elmore import net_delay
 
 #: Baseline plans cached per process (inherited by forked workers).
@@ -78,6 +82,8 @@ def metrics_from_state(state: PlanState, reuse_delays=None) -> Dict[str, Any]:
         "wire_budget": int(graph.edge_capacity.sum()),
         "unassigned_nets": len(failed),
         "failed_nets": list(failed),
+        "overflow": wire_congestion_stats(graph).overflow
+        + buffer_density_stats(graph).overflow,
         "buffers": sum(len(o.specs) for o in state.outcomes.values()),
         "wirelength_tiles": sum(
             t.wirelength_tiles() for t in state.routes.values()

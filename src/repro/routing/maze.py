@@ -27,19 +27,35 @@ order the old object-keyed heap used for tie-breaking, and the cached
 costs are bit-identical to the scalar formulas, the flat kernel settles
 tiles in exactly the same order and returns byte-identical trees.
 
-A caller-supplied ``cost_fn`` other than the two built-ins still works —
-it takes the original dict-based wavefront — but the fast path also
-accepts ``cost_array`` (per-edge-id costs) so bulk callers like the MCF
-router can stay on the flat kernel.
+The edge cost is one of the two built-ins; bulk callers with other
+per-edge costs (the MCF router) pass them as ``cost_array``, a per-edge-id
+list, and stay on the same kernel.
+
+This module also holds the repo's one labeled ``(tile, j)`` wavefront,
+:func:`_buffered_wavefront`, shared by the Stage-4 two-path search
+(:mod:`repro.core.two_path`) and the lower-bound path pricer
+(:mod:`repro.bounds.pricing`). A label is one integer ``s = tile * (L + 1)
++ j`` with ``j`` the tile distance since the last gate; because ``tile`` is
+monotone in ``(x, y)`` order and ``j < L + 1``, ``(d, s)`` heap entries
+order exactly like ``(d, (tile, j))`` tuples would.
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.errors import RoutingError
+from repro.errors import ConfigurationError, RoutingError
 from repro.routing.tree import RouteTree
 from repro.tilegraph.cost_cache import OVERFLOW_PENALTY
 from repro.tilegraph.graph import Tile, TileGraph
@@ -132,7 +148,7 @@ class RoutingWorkspace:
     slot only counts as written when its stamp matches, so starting a new
     search costs O(1) instead of O(num_tiles). One workspace serves any
     number of sequential searches; concurrent searches (parallel Stage 2)
-    each need their own instance. The Stage-4 ``(tile, j)`` wavefront
+    each need their own instance. The labeled ``(tile, j)`` wavefront
     sizes one with a slot per label instead of per tile.
     """
 
@@ -253,48 +269,178 @@ def _dijkstra_flat(
     return -1, expanded, pops, lookups
 
 
-def _dijkstra_to_sink(
-    graph: TileGraph,
-    seeds: Dict[Tile, float],
-    targets: Set[Tile],
-    cost_fn: EdgeCost,
-    window: Tuple[int, int, int, int],
-) -> Tuple[Optional[Tuple[Tile, Dict[Tile, Tile]]], int]:
-    """Dict-keyed wavefront — the fallback for caller-supplied cost_fns.
+#: Search-mask codes per tile for the labeled wavefront: blocked (outside
+#: the window or forbidden), enterable window tile, and goal.
+_BLOCKED, _OPEN, _GOAL = 0, 1, 2
+#: Code ``_SETTLED + j``: the tile has settled a label of gate distance
+#: ``j`` (the lowest so far); only ``j < _MAX_CODED_J`` fits in a byte.
+_SETTLED = 3
+_MAX_CODED_J = 256 - _SETTLED
 
-    Returns ``(result, nodes_expanded)`` where ``result`` is (reached
-    target, predecessor map) or None when unreachable within the window
-    under finite costs, and ``nodes_expanded`` counts settled tiles.
+#: Per-graph label buffers: a :class:`RoutingWorkspace` with one slot per
+#: ``(tile, j)`` label, kept apart from the graph's tile workspace and
+#: replaced by a larger one when a search needs more labels.
+_label_workspaces: "weakref.WeakKeyDictionary[TileGraph, RoutingWorkspace]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _label_workspace(graph: TileGraph, num_labels: int) -> RoutingWorkspace:
+    ws = _label_workspaces.get(graph)
+    if ws is None or ws.num_tiles < num_labels:
+        ws = _label_workspaces[graph] = RoutingWorkspace(num_labels)
+    return ws
+
+
+def _search_mask(
+    graph: TileGraph,
+    goals: Iterable[Tile],
+    forbidden: Iterable[Tile],
+    window: Tuple[int, int, int, int],
+) -> bytearray:
+    """One code per tile: window membership, forbidden tiles and goals.
+
+    A goal outside the window is unreachable, and a goal inside it may be
+    entered even when forbidden.
     """
     x0, y0, x1, y1 = window
-    dist: Dict[Tile, float] = dict(seeds)
-    pred: Dict[Tile, Tile] = {}
-    heap: List[Tuple[float, Tile]] = [(c, t) for t, c in seeds.items()]
-    heapq.heapify(heap)
-    settled: Set[Tile] = set()
-    expanded = 0
+    ny = graph.ny
+    mask = _window_mask(graph.flat(), window)
+    for x, y in forbidden:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            mask[x * ny + y] = _BLOCKED
+    for x, y in goals:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            mask[x * ny + y] = _GOAL
+    return mask
+
+
+def _buffered_wavefront(
+    flat,
+    ws: RoutingWorkspace,
+    start: int,
+    mask: bytearray,
+    q: Sequence[float],
+    length_limit: int,
+    costs: Sequence[float],
+    goals_needed: int = 1,
+    wire_base: float = 0.0,
+    buffer_base: float = 0.0,
+) -> Tuple[List[int], int, int]:
+    """Labeled ``(tile, j)`` wavefront from tile ``start`` (a gate, ``j = 0``).
+
+    A wire step to a window neighbor costs ``wire_base + costs[eid]`` and
+    advances ``j`` (never past ``length_limit``); a buffer on a tile with
+    finite ``q[tile]`` costs ``buffer_base + q[tile]`` and resets ``j`` to
+    zero. ``INF`` costs are impassable. The base is added to the label's
+    distance before the step cost, ``(d + base) + cost``.
+
+    The search settles labels in ``(d, s)`` order and records the first
+    settled label of each ``_GOAL`` tile of ``mask``, then keeps expanding
+    through it. It stops once ``goals_needed`` goal tiles have one — with
+    the default of 1, at the cheapest goal label. With strictly positive
+    step costs a goal tile's first settled label is its cheapest one, the
+    lowest ``j`` among equals.
+
+    A settled label ``(v, j)`` dominates every later label ``(v, j')``
+    with ``j' > j``: its distance is no larger and any continuation of
+    the later one is also open to it. Dominated labels are neither pushed
+    nor expanded, which cannot change the result: a label settled first
+    among its tile's labels of no larger ``j`` only ever has such a label
+    as its predecessor, so those labels — every recorded goal label and
+    its whole path among them — settle in the same order with the same
+    distances and predecessors as in the unpruned search. (This needs
+    step costs ``>= 0`` only; float ``+`` is monotone.)
+
+    Returns ``(goal_labels, heap_pops, labels_settled)`` in settle order;
+    ``labels_settled`` also counts dominated labels that were pushed
+    before their dominator settled. Distances land in ``ws.dist`` and
+    predecessor labels in ``ws.parent`` (``-1`` at the start), valid
+    until the workspace's next search. ``mask`` is consumed: a tile's
+    byte becomes ``_SETTLED + j`` for the lowest ``j`` it has settled.
+    """
+    adj = flat.adj
+    Lp = length_limit + 1
+    # stamp[s] is 2 * epoch once label s has a tentative distance in this
+    # search and 2 * epoch + 1 once it is settled; anything smaller is a
+    # leftover of an earlier search.
+    labeled = 2 * ws.begin()
+    done = labeled + 1
+    dist = ws.dist
+    stamp = ws.dist_stamp
+    pred = ws.parent
+    heap = ws.heap
+    push = heapq.heappush
+    pop = heapq.heappop
+
+    s0 = start * Lp
+    dist[s0] = 0.0
+    stamp[s0] = labeled
+    pred[s0] = -1
+    heap.append((0.0, s0))
+    found: List[int] = []
+    pops = 0
+    settled = 0
     while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
+        d, s = pop(heap)
+        pops += 1
+        if stamp[s] == done:
             continue
-        settled.add(u)
-        expanded += 1
-        if u in targets:
-            return (u, pred), expanded
-        for v in graph.neighbors(u):
-            if not (x0 <= v[0] <= x1 and y0 <= v[1] <= y1):
-                continue
-            if v in settled:
-                continue
-            step = cost_fn(graph, u, v)
-            if step == float("inf"):
-                continue
-            nd = d + step
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return None, expanded
+        stamp[s] = done
+        settled += 1
+        t = s // Lp
+        j = s - t * Lp
+        code = mask[t]
+        if code > _GOAL:
+            if code - _SETTLED < j:
+                continue  # dominated by a settled label of lower j
+        elif code == _GOAL:
+            found.append(s)
+            if len(found) == goals_needed:
+                break
+        mask[t] = _SETTLED + j if j < _MAX_CODED_J else _OPEN
+        # Buffer here (resets j); only from unbuffered labels.
+        if j:
+            qv = q[t]
+            if qv != _INF:
+                nd = d + buffer_base + qv
+                ns = s - j
+                if stamp[ns] < labeled or nd < dist[ns]:
+                    dist[ns] = nd
+                    stamp[ns] = labeled
+                    pred[ns] = s
+                    push(heap, (nd, ns))
+        # Step to a neighbor. A run of exactly L between gates is legal
+        # (a gate may drive L units), so j may reach L.
+        if j < length_limit:
+            j += 1
+            d += wire_base
+            for v, eid in adj[t]:
+                code = mask[v]
+                if not code or (code > _GOAL and code - _SETTLED <= j):
+                    continue
+                step = costs[eid]
+                if step == _INF:
+                    continue
+                nd = d + step
+                ns = v * Lp + j
+                if stamp[ns] < labeled or nd < dist[ns]:
+                    dist[ns] = nd
+                    stamp[ns] = labeled
+                    pred[ns] = s
+                    push(heap, (nd, ns))
+    return found, pops, settled
+
+
+def _label_chain(ws: RoutingWorkspace, label: int) -> List[int]:
+    """Labels from the search start to ``label``, along ``ws.parent``."""
+    chain: List[int] = []
+    pred = ws.parent
+    while label >= 0:
+        chain.append(label)
+        label = pred[label]
+    chain.reverse()
+    return chain
 
 
 def _route_net_flat(
@@ -405,82 +551,6 @@ def _route_net_flat(
     return tree
 
 
-def _route_net_generic(
-    graph: TileGraph,
-    source: Tile,
-    sinks: Sequence[Tile],
-    cost_fn: EdgeCost,
-    radius_weight: float,
-    net_name: str,
-    window_margin: int,
-    tracer,
-) -> RouteTree:
-    """Dict-keyed path for caller-supplied cost functions."""
-    sink_set = {t for t in sinks}
-    tree_tiles: Dict[Tile, float] = {source: 0.0}  # tile -> path cost from source
-    parent: Dict[Tile, Tile] = {}
-    pending: Set[Tile] = set(sink_set) - {source}
-
-    all_pins = [source] + list(sinks)
-    margins = [window_margin, window_margin * 4, max(graph.nx, graph.ny)]
-    total_expanded = 0
-    escalated = cost_fn is soft_congestion_cost
-
-    while pending:
-        found = None
-        used_cost: EdgeCost = cost_fn
-        for attempt, margin in enumerate(margins):
-            window = _search_window(graph, all_pins, margin)
-            seeds = {
-                t: radius_weight * path_cost for t, path_cost in tree_tiles.items()
-            }
-            found, expanded = _dijkstra_to_sink(
-                graph, seeds, pending, used_cost, window
-            )
-            total_expanded += expanded
-            if found is not None:
-                break
-            escalated = True
-            if attempt == len(margins) - 1 and used_cost is not soft_congestion_cost:
-                # Full-grid search failed: relax to the soft cost and
-                # rescan the margins.
-                used_cost = soft_congestion_cost
-                for margin2 in margins:
-                    window = _search_window(graph, all_pins, margin2)
-                    found, expanded = _dijkstra_to_sink(
-                        graph, seeds, pending, used_cost, window
-                    )
-                    total_expanded += expanded
-                    if found is not None:
-                        break
-                break
-        if found is None:
-            raise RoutingError(
-                f"net {net_name!r}: sink(s) {sorted(pending)} unreachable from {source}"
-            )
-        target, pred = found
-        # Walk back to the tree, recording path costs from the source.
-        path = [target]
-        while path[-1] not in tree_tiles:
-            path.append(pred[path[-1]])
-        attach = path[-1]
-        path.reverse()  # attach ... target
-        running = tree_tiles[attach]
-        for a, b in zip(path, path[1:]):
-            running += used_cost(graph, a, b)
-            if b not in tree_tiles:
-                tree_tiles[b] = running
-                parent[b] = a
-        pending -= set(tree_tiles)
-
-    if tracer is not None and tracer.enabled and total_expanded:
-        tracer.count("maze_nodes_expanded", total_expanded)
-    sink_tiles = sorted(sink_set)
-    tree = RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
-    tree.search_escalated = escalated
-    return tree
-
-
 def route_net_on_tiles(
     graph: TileGraph,
     source: Tile,
@@ -500,9 +570,9 @@ def route_net_on_tiles(
             ripped up, i.e., its own usage removed).
         source: driver tile.
         sinks: sink tiles (duplicates and the source tile allowed).
-        cost_fn: per-edge cost; defaults to the strict Eq. (1) cost. The
-            two built-ins run on the flat kernel with cached cost lists;
-            any other callable takes the dict-keyed fallback.
+        cost_fn: per-edge cost, ``congestion_cost`` (the strict Eq. (1)
+            cost, default) or ``soft_congestion_cost``; both run on the
+            flat kernel with cached cost lists.
         radius_weight: PD-style bias ``c``; attaching to a tree tile whose
             path cost from the source is ``P`` charges ``c * P`` up front.
         net_name: label for the returned tree.
@@ -527,6 +597,7 @@ def route_net_on_tiles(
         contract of the parallel Stage-2 pool backend).
 
     Raises:
+        ConfigurationError: ``cost_fn`` is neither built-in cost.
         RoutingError: only if even the soft cost cannot connect (grid
             disconnected), which cannot happen on a standard grid.
     """
@@ -551,7 +622,7 @@ def route_net_on_tiles(
             True, radius_weight, net_name, window_margin, tracer, workspace,
             cache_backed=True,
         )
-    return _route_net_generic(
-        graph, source, sinks, cost_fn, radius_weight, net_name,
-        window_margin, tracer,
+    raise ConfigurationError(
+        "cost_fn must be congestion_cost or soft_congestion_cost; "
+        "pass cost_array for any other per-edge cost"
     )

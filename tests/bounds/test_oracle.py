@@ -222,3 +222,37 @@ class TestTriageShortCircuit:
         assert summary["certified_infeasible"]
         cert = result.certificate()
         assert cert.infeasible_reason == "triage-sites"
+
+
+class TestOptimalityGap:
+    """``optimality_gap`` is None, with a reason, for unrankable plans."""
+
+    PLAN = {"unassigned_nets": 0, "overflow": 0,
+            "wirelength_tiles": 30, "buffers": 10}
+
+    def _result(self, lower_bound=20.0, certified=False):
+        from types import SimpleNamespace
+
+        return SimpleNamespace(
+            lower_bound=lower_bound, certified_infeasible=certified
+        )
+
+    def test_feasible_plan_gets_gap(self):
+        from repro.bounds import optimality_gap
+
+        assert optimality_gap(self._result(), self.PLAN) == (1.0, "")
+
+    @pytest.mark.parametrize(
+        "result_kw, plan_kw, reason",
+        [
+            ({"lower_bound": None}, {}, "no-bound"),
+            ({"certified": True}, {}, "certified-infeasible"),
+            ({}, {"unassigned_nets": 2}, "unassigned-nets"),
+            ({}, {"overflow": 5}, "plan-overflow"),
+        ],
+    )
+    def test_unrankable_plan_gets_reason(self, result_kw, plan_kw, reason):
+        from repro.bounds import optimality_gap
+
+        plan = dict(self.PLAN, **plan_kw)
+        assert optimality_gap(self._result(**result_kw), plan) == (None, reason)

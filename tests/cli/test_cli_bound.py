@@ -56,6 +56,35 @@ class TestBoundCommand:
             main(ARGS + ["--mode", "simplex"])
 
 
+class TestGapOnInfeasiblePlans:
+    """No optimality gap is reported for a plan the bound cannot rank."""
+
+    INFEASIBLE = [
+        "bound", "--grid", "16", "--nets", "120", "--capacity", "2",
+        "--compare",
+    ]
+
+    def test_certified_infeasible_scenario_reports_no_gap(self, capsys):
+        assert main(self.INFEASIBLE + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certified_infeasible"] is True
+        assert payload["optimality_gap"] is None
+        assert payload["gap_reason"] == "certified-infeasible"
+
+    def test_text_report_names_the_reason(self, capsys):
+        assert main(self.INFEASIBLE) == 0
+        out = capsys.readouterr().out
+        assert "certified infeasible: capacity" in out
+        assert "optimality gap -" not in out
+        assert "no optimality gap (certified-infeasible)" in out
+
+    def test_feasible_plan_reports_empty_reason(self, capsys):
+        assert main(ARGS + ["--compare", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gap_reason"] == ""
+        assert payload["plan_overflow"] == 0
+
+
 class TestCapabilities:
     def test_list_json_capability_row(self, capsys):
         assert main(["list", "--json"]) == 0

@@ -1,12 +1,22 @@
-"""The flat-array maze kernel: fallback parity, workspaces, parallel Stage 2."""
+"""The flat-array maze kernel: fallback parity, workspaces, parallel Stage 2.
+
+``reference_route`` below is the router's original dict-keyed wavefront,
+which once served caller-supplied cost functions; it stays here as the
+parity oracle for the flat kernel.
+"""
+
+import heapq
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoutingError
 from repro.geometry import Rect
 from repro.routing.maze import (
+    EdgeCost,
     RoutingWorkspace,
+    _search_window,
     congestion_cost,
     route_net_on_tiles,
     scalar_edge_cost,
@@ -14,7 +24,9 @@ from repro.routing.maze import (
     workspace_for,
 )
 from repro.routing.ripup import RipupOptions, ripup_and_reroute
+from repro.routing.tree import RouteTree
 from repro.tilegraph import CapacityModel, TileGraph
+from repro.tilegraph.graph import Tile
 
 
 def canonical_edges(tree):
@@ -26,6 +38,127 @@ def saturate_column(graph, x):
     for y in range(graph.ny):
         cap = graph.wire_capacity((x, y), (x + 1, y))
         graph.add_wire((x, y), (x + 1, y), cap)
+
+
+def _reference_dijkstra(
+    graph: TileGraph,
+    seeds: Dict[Tile, float],
+    targets: Set[Tile],
+    cost_fn: EdgeCost,
+    window: Tuple[int, int, int, int],
+) -> Tuple[Optional[Tuple[Tile, Dict[Tile, Tile]]], int]:
+    """Dict-keyed wavefront over object tiles and a scalar ``cost_fn``.
+
+    Returns ``(result, nodes_expanded)`` where ``result`` is (reached
+    target, predecessor map) or None when unreachable within the window
+    under finite costs, and ``nodes_expanded`` counts settled tiles.
+    """
+    x0, y0, x1, y1 = window
+    dist: Dict[Tile, float] = dict(seeds)
+    pred: Dict[Tile, Tile] = {}
+    heap: List[Tuple[float, Tile]] = [(c, t) for t, c in seeds.items()]
+    heapq.heapify(heap)
+    settled: Set[Tile] = set()
+    expanded = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        expanded += 1
+        if u in targets:
+            return (u, pred), expanded
+        for v in graph.neighbors(u):
+            if not (x0 <= v[0] <= x1 and y0 <= v[1] <= y1):
+                continue
+            if v in settled:
+                continue
+            step = cost_fn(graph, u, v)
+            if step == float("inf"):
+                continue
+            nd = d + step
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return None, expanded
+
+
+def reference_route(
+    graph: TileGraph,
+    source: Tile,
+    sinks: Sequence[Tile],
+    cost_fn: EdgeCost,
+    radius_weight: float,
+    net_name: str,
+    window_margin: int,
+    tracer,
+) -> RouteTree:
+    """The original dict-keyed router, driven by a scalar ``cost_fn``."""
+    sink_set = {t for t in sinks}
+    tree_tiles: Dict[Tile, float] = {source: 0.0}  # tile -> path cost from source
+    parent: Dict[Tile, Tile] = {}
+    pending: Set[Tile] = set(sink_set) - {source}
+
+    all_pins = [source] + list(sinks)
+    margins = [window_margin, window_margin * 4, max(graph.nx, graph.ny)]
+    total_expanded = 0
+    escalated = cost_fn is soft_congestion_cost
+
+    while pending:
+        found = None
+        used_cost: EdgeCost = cost_fn
+        for attempt, margin in enumerate(margins):
+            window = _search_window(graph, all_pins, margin)
+            seeds = {
+                t: radius_weight * path_cost for t, path_cost in tree_tiles.items()
+            }
+            found, expanded = _reference_dijkstra(
+                graph, seeds, pending, used_cost, window
+            )
+            total_expanded += expanded
+            if found is not None:
+                break
+            escalated = True
+            if attempt == len(margins) - 1 and used_cost is not soft_congestion_cost:
+                # Full-grid search failed: relax to the soft cost and
+                # rescan the margins.
+                used_cost = soft_congestion_cost
+                for margin2 in margins:
+                    window = _search_window(graph, all_pins, margin2)
+                    found, expanded = _reference_dijkstra(
+                        graph, seeds, pending, used_cost, window
+                    )
+                    total_expanded += expanded
+                    if found is not None:
+                        break
+                break
+        if found is None:
+            raise RoutingError(
+                f"net {net_name!r}: sink(s) {sorted(pending)} unreachable from {source}"
+            )
+        target, pred = found
+        # Walk back to the tree, recording path costs from the source.
+        path = [target]
+        while path[-1] not in tree_tiles:
+            path.append(pred[path[-1]])
+        attach = path[-1]
+        path.reverse()  # attach ... target
+        running = tree_tiles[attach]
+        for a, b in zip(path, path[1:]):
+            running += used_cost(graph, a, b)
+            if b not in tree_tiles:
+                tree_tiles[b] = running
+                parent[b] = a
+        pending -= set(tree_tiles)
+
+    if tracer is not None and tracer.enabled and total_expanded:
+        tracer.count("maze_nodes_expanded", total_expanded)
+    sink_tiles = sorted(sink_set)
+    tree = RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
+    tree.search_escalated = escalated
+    return tree
+
 
 
 class TestSoftFallbackParity:
@@ -74,21 +207,25 @@ class TestFlatVsGenericParity:
             pts = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(4, 2))]
             pins.append((pts[0], pts[1:]))
 
-        def strict_clone(graph, u, v):  # not `is congestion_cost` -> generic path
-            return congestion_cost(graph, u, v)
-
         for i, (source, sinks) in enumerate(pins):
             fast = route_net_on_tiles(
                 flat_graph, source, sinks, radius_weight=0.4, net_name=f"n{i}"
             )
-            slow = route_net_on_tiles(
-                generic_graph, source, sinks, cost_fn=strict_clone,
-                radius_weight=0.4, net_name=f"n{i}",
+            slow = reference_route(
+                generic_graph, source, sinks, congestion_cost, 0.4, f"n{i}",
+                6, None,
             )
             assert canonical_edges(fast) == canonical_edges(slow), f"net {i}"
             fast.add_usage(flat_graph)
             slow.add_usage(generic_graph)
         assert (flat_graph.edge_usage == generic_graph.edge_usage).all()
+
+    def test_custom_cost_fn_rejected(self, graph10):
+        def strict_clone(graph, u, v):
+            return congestion_cost(graph, u, v)
+
+        with pytest.raises(ConfigurationError):
+            route_net_on_tiles(graph10, (0, 0), [(5, 5)], cost_fn=strict_clone)
 
     def test_cost_array_override(self, graph10):
         """A uniform cost array routes like an unweighted BFS (shortest path)."""
