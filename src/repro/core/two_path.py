@@ -165,7 +165,7 @@ def _wire_path(
     idx = graph.tile_index
     start_idx, goal_idx = idx(start), idx(goal)
     ws = workspace_for(graph)
-    target, _, _, _ = _dijkstra_flat(
+    target, _, _ = _dijkstra_flat(
         graph.flat(),
         ws,
         _edge_costs(graph, wire_cost),

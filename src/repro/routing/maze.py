@@ -206,16 +206,19 @@ def _dijkstra_flat(
     targets: Set[int],
     window: Tuple[int, int, int, int],
     blocked: Sequence[int] = (),
-) -> Tuple[int, int, int, int]:
+    expanded_tiles: Optional[List[int]] = None,
+) -> Tuple[int, int, int]:
     """Flat-index wavefront from ``seeds`` until the cheapest target settles.
 
-    Returns ``(target_idx, expanded, pops, lookups)`` with ``target_idx``
-    of -1 when no target is reachable within the window under finite
-    costs. Parent links land in ``ws.parent``/``ws.parent_eid`` (valid for
-    this epoch only). Seeds are expandable even when they lie outside the
+    Returns ``(target_idx, pops, lookups)`` with ``target_idx`` of -1
+    when no target is reachable within the window under finite costs.
+    Parent links land in ``ws.parent``/``ws.parent_eid`` (valid for this
+    epoch only). Seeds are expandable even when they lie outside the
     window — only *neighbor* tiles are window-clipped, matching the
     object-graph router. ``blocked`` tiles are never entered, exactly as
-    if they lay outside the window.
+    if they lay outside the window. Each expanded tile is appended to
+    ``expanded_tiles`` when given: the search read the cost of an edge
+    only if it expanded one of its endpoints.
     """
     epoch = ws.begin()
     dist = ws.dist
@@ -240,7 +243,7 @@ def _dijkstra_flat(
     heapq.heapify(heap)
     push = heapq.heappush
     pop = heapq.heappop
-    expanded = 0
+    mark = (expanded_tiles if expanded_tiles is not None else []).append
     pops = 0
     lookups = 0
     while heap:
@@ -249,9 +252,9 @@ def _dijkstra_flat(
         if not live[u]:
             continue
         live[u] = 0
-        expanded += 1
+        mark(u)
         if u in targets:
-            return u, expanded, pops, lookups
+            return u, pops, lookups
         for v, eid in adj[u]:
             if not live[v]:
                 continue
@@ -266,7 +269,7 @@ def _dijkstra_flat(
                 parent[v] = u
                 parent_eid[v] = eid
                 push(heap, (nd, v))
-    return -1, expanded, pops, lookups
+    return -1, pops, lookups
 
 
 #: Search-mask codes per tile for the labeled wavefront: blocked (outside
@@ -472,7 +475,8 @@ def _route_net_flat(
 
     all_pins = [source] + list(sinks)
     margins = [window_margin, window_margin * 4, max(graph.nx, graph.ny)]
-    total_expanded = 0
+    # Every tile any attempt expanded, in order (repeats included).
+    expanded_tiles: List[int] = []
     total_pops = 0
     total_lookups = 0
     # True once any search read beyond the first window (wider margins or
@@ -489,10 +493,10 @@ def _route_net_flat(
                 (idx, radius_weight * path_cost)
                 for idx, path_cost in tree_tiles.items()
             ]
-            target, expanded, pops, lookups = _dijkstra_flat(
-                flat, ws, used_costs, seeds, pending, window
+            target, pops, lookups = _dijkstra_flat(
+                flat, ws, used_costs, seeds, pending, window, (),
+                expanded_tiles,
             )
-            total_expanded += expanded
             total_pops += pops
             total_lookups += lookups
             if target >= 0:
@@ -506,10 +510,10 @@ def _route_net_flat(
                 used_costs = soft_costs_fn()
                 for margin2 in margins:
                     window = _search_window(graph, all_pins, margin2)
-                    target, expanded, pops, lookups = _dijkstra_flat(
-                        flat, ws, used_costs, seeds, pending, window
+                    target, pops, lookups = _dijkstra_flat(
+                        flat, ws, used_costs, seeds, pending, window, (),
+                        expanded_tiles,
                     )
-                    total_expanded += expanded
                     total_pops += pops
                     total_lookups += lookups
                     if target >= 0:
@@ -537,8 +541,8 @@ def _route_net_flat(
         pending -= tree_tiles.keys()
 
     if tracer is not None and tracer.enabled:
-        if total_expanded:
-            tracer.count("maze_nodes_expanded", total_expanded)
+        if expanded_tiles:
+            tracer.count("maze_nodes_expanded", len(expanded_tiles))
         if total_pops:
             tracer.count("route.heap_pops", total_pops)
         if cache_backed and total_lookups:
@@ -548,7 +552,25 @@ def _route_net_flat(
     # Everything this search read lies inside the first window iff it
     # never escalated — the parallel Stage-2 commit relies on this flag.
     tree.search_escalated = escalated
+    tree.search_box = _read_box(expanded_tiles, graph.ny)
     return tree
+
+
+def _read_box(expanded_tiles: List[int], ny: int) -> Tuple[int, int, int, int]:
+    """Inclusive ``(x0, y0, x1, y1)`` bounding box of the expanded tile ids.
+
+    Empty (``x0 > x1``) when nothing was expanded. Tile ids are
+    ``x * ny + y``, so the x range follows from the smallest and largest id.
+    """
+    if not expanded_tiles:
+        return (0, 0, -1, -1)
+    ys = list(map(ny.__rmod__, expanded_tiles))
+    return (
+        min(expanded_tiles) // ny,
+        min(ys),
+        max(expanded_tiles) // ny,
+        max(ys),
+    )
 
 
 def route_net_on_tiles(
@@ -594,7 +616,13 @@ def route_net_on_tiles(
         tree carries a ``search_escalated`` attribute — ``False``
         guarantees every edge the search read lies inside the first
         ``window_margin`` window around the pins (the speculation
-        contract of the parallel Stage-2 pool backend).
+        contract of the parallel Stage-2 pool backend) — and a
+        ``search_box``: the inclusive ``(x0, y0, x1, y1)`` bounding box
+        of every tile any of its wavefronts expanded (empty, ``x0 > x1``,
+        when no search ran). Every edge cost the search read has an
+        endpoint in that box, so the search repeats bit for bit while
+        no edge with an endpoint in the box changes (the incremental
+        service's dirty test).
 
     Raises:
         ConfigurationError: ``cost_fn`` is neither built-in cost.

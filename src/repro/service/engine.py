@@ -306,26 +306,30 @@ def full_plan(
         )
     start = time.perf_counter()
     with tracer.span("service.full_plan", nets=scenario.num_nets):
-        graph = build_graph(scenario)
-        nets = scenario.nets()
-        order = sorted(nets)
-        routes: Dict[str, RouteTree] = {}
-        for name in order:
-            if abort_check is not None and abort_check():
-                from repro.errors import PreemptedError
+        with tracer.span("service.full_plan.route"):
+            graph = build_graph(scenario)
+            nets = scenario.nets()
+            order = sorted(nets)
+            routes: Dict[str, RouteTree] = {}
+            for name in order:
+                if abort_check is not None and abort_check():
+                    from repro.errors import PreemptedError
 
-                raise PreemptedError(
-                    f"full plan preempted before routing net {name!r}"
+                    raise PreemptedError(
+                        f"full plan preempted before routing net {name!r}"
+                    )
+                source, sinks = nets[name]
+                tree = route_one(
+                    graph, name, source, sinks, config, tracer=tracer
                 )
-            source, sinks = nets[name]
-            tree = route_one(graph, name, source, sinks, config, tracer=tracer)
-            tree.add_usage(graph)
-            routes[name] = tree
-        limits = scenario.limits(order)
-        outcomes = run_buffer_walk(
-            graph, routes, limits, order, config, tracer=tracer,
-            abort_check=abort_check,
-        )
+                tree.add_usage(graph)
+                routes[name] = tree
+        with tracer.span("service.full_plan.buffer"):
+            limits = scenario.limits(order)
+            outcomes = run_buffer_walk(
+                graph, routes, limits, order, config, tracer=tracer,
+                abort_check=abort_check,
+            )
     failed = [n for n in order if not outcomes[n].meets]
     state = PlanState(
         scenario=scenario,

@@ -46,12 +46,14 @@ def _reference_dijkstra(
     targets: Set[Tile],
     cost_fn: EdgeCost,
     window: Tuple[int, int, int, int],
+    expanded_tiles: Optional[List[Tile]] = None,
 ) -> Tuple[Optional[Tuple[Tile, Dict[Tile, Tile]]], int]:
     """Dict-keyed wavefront over object tiles and a scalar ``cost_fn``.
 
     Returns ``(result, nodes_expanded)`` where ``result`` is (reached
     target, predecessor map) or None when unreachable within the window
     under finite costs, and ``nodes_expanded`` counts settled tiles.
+    Settled tiles are appended to ``expanded_tiles`` when given.
     """
     x0, y0, x1, y1 = window
     dist: Dict[Tile, float] = dict(seeds)
@@ -66,6 +68,8 @@ def _reference_dijkstra(
             continue
         settled.add(u)
         expanded += 1
+        if expanded_tiles is not None:
+            expanded_tiles.append(u)
         if u in targets:
             return (u, pred), expanded
         for v in graph.neighbors(u):
@@ -93,8 +97,13 @@ def reference_route(
     net_name: str,
     window_margin: int,
     tracer,
+    expanded_tiles: Optional[List[Tile]] = None,
 ) -> RouteTree:
-    """The original dict-keyed router, driven by a scalar ``cost_fn``."""
+    """The original dict-keyed router, driven by a scalar ``cost_fn``.
+
+    Every tile any of its searches settles is appended to
+    ``expanded_tiles`` when given.
+    """
     sink_set = {t for t in sinks}
     tree_tiles: Dict[Tile, float] = {source: 0.0}  # tile -> path cost from source
     parent: Dict[Tile, Tile] = {}
@@ -114,7 +123,7 @@ def reference_route(
                 t: radius_weight * path_cost for t, path_cost in tree_tiles.items()
             }
             found, expanded = _reference_dijkstra(
-                graph, seeds, pending, used_cost, window
+                graph, seeds, pending, used_cost, window, expanded_tiles
             )
             total_expanded += expanded
             if found is not None:
@@ -127,7 +136,8 @@ def reference_route(
                 for margin2 in margins:
                     window = _search_window(graph, all_pins, margin2)
                     found, expanded = _reference_dijkstra(
-                        graph, seeds, pending, used_cost, window
+                        graph, seeds, pending, used_cost, window,
+                        expanded_tiles,
                     )
                     total_expanded += expanded
                     if found is not None:
@@ -245,6 +255,82 @@ class TestFlatVsGenericParity:
         # Unknown callables pass through untouched.
         custom = lambda g, u, v: 2.0
         assert scalar_edge_cost(graph10, custom) is custom
+
+
+def bounding_box(tiles):
+    xs = [t[0] for t in tiles]
+    ys = [t[1] for t in tiles]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+class TestSearchBox:
+    """``tree.search_box`` bounds every tile the reference search expands."""
+
+    def _route_both(self, graph_a, graph_b, source, sinks, margin, cost_fn,
+                    radius_weight=0.0):
+        tree = route_net_on_tiles(
+            graph_a, source, sinks, cost_fn=cost_fn,
+            radius_weight=radius_weight, window_margin=margin,
+        )
+        expanded: List[Tile] = []
+        ref = reference_route(
+            graph_b, source, sinks, cost_fn, radius_weight, "n", margin,
+            None, expanded_tiles=expanded,
+        )
+        assert canonical_edges(tree) == canonical_edges(ref)
+        x0, y0, x1, y1 = tree.search_box
+        assert all(x0 <= x <= x1 and y0 <= y <= y1 for x, y in expanded)
+        # The flat kernel expands the same tiles, so the box is tight.
+        assert tree.search_box == bounding_box(expanded)
+        return tree, expanded
+
+    def test_random_nets_on_accumulating_usage(self, die10):
+        graph_a = TileGraph(die10, 10, 10, CapacityModel.uniform(3))
+        graph_b = TileGraph(die10, 10, 10, CapacityModel.uniform(3))
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            pts = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(4, 2))]
+            tree, _ = self._route_both(
+                graph_a, graph_b, pts[0], pts[1:], 2, congestion_cost, 0.4
+            )
+            tree.add_usage(graph_a)
+            tree.add_usage(graph_b)
+
+    def test_forced_full_grid_escalation(self):
+        die = Rect(0.0, 0.0, 20.0, 20.0)
+        graphs = [TileGraph(die, 20, 20, CapacityModel.uniform(2))
+                  for _ in range(2)]
+        for g in graphs:
+            # A wall between x=2 and x=3 with its only gap at y >= 17,
+            # outside the 4x-margin window (y 6..14) of the pins below.
+            for y in range(17):
+                g.set_wire_capacity((2, y), (3, y), 0)
+        tree, expanded = self._route_both(
+            graphs[0], graphs[1], (1, 10), [(4, 10)], 1, congestion_cost
+        )
+        assert tree.search_escalated
+        assert max(t[1] for t in tree.nodes) >= 17
+        assert tree.search_box[3] >= 17
+
+    @pytest.mark.parametrize("cost_fn", [congestion_cost, soft_congestion_cost])
+    def test_soft_rescan(self, die10, cost_fn):
+        graphs = [TileGraph(die10, 10, 10, CapacityModel.uniform(2))
+                  for _ in range(2)]
+        for g in graphs:
+            saturate_column(g, 4)  # no strict path from x <= 4 to x >= 5
+        tree, expanded = self._route_both(
+            graphs[0], graphs[1], (0, 5), [(9, 5)], 1, cost_fn
+        )
+        assert tree.search_escalated
+        if cost_fn is congestion_cost:
+            # The failed strict full-grid search expanded the whole left
+            # half before the soft rescan crossed the wall.
+            assert {(x, y) for x in range(5) for y in range(10)} <= set(expanded)
+
+    def test_no_search_gives_empty_box(self, graph10):
+        tree = route_net_on_tiles(graph10, (3, 3), [(3, 3)])
+        x0, y0, x1, y1 = tree.search_box
+        assert x0 > x1 and y0 > y1
 
 
 class TestRouteCounters:

@@ -6,10 +6,14 @@ evolved scenario. Each test perturbs a cached baseline one way, replans
 incrementally, and compares against ``full_plan(apply_delta(...))``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.rabid import RabidConfig
 from repro.errors import ConfigurationError
+from repro.obs import Tracer
 from repro.service import (
     DeltaSpec,
     MacroSpec,
@@ -24,6 +28,7 @@ from repro.service import (
     set_length_limit,
     set_sites,
 )
+from repro.service.checkpoint import checkpoint_from_dict, checkpoint_to_dict
 
 SPEC = ScenarioSpec(
     grid=12, num_nets=60, total_sites=400, macros=(MacroSpec(2, 2, 3, 3),)
@@ -139,3 +144,99 @@ def test_reroute_path_taken_for_capacity_choke(baseline):
     assert stats.signature == reference.signature
     assert stats.nets_rerouted > 0
     assert_usage_consistent(baseline)
+
+
+def canonical_routes(state):
+    return {
+        name: sorted((min(u, v), max(u, v)) for u, v in tree.edges())
+        for name, tree in state.routes.items()
+    }
+
+
+def assert_matches_full(state, reference):
+    assert state.signature == reference.signature
+    assert canonical_routes(state) == canonical_routes(reference)
+
+
+def test_removing_last_ordered_net_searches_nothing(baseline):
+    # No net follows "zeco-*" in name order, so no search saw its usage.
+    add = DeltaSpec((add_net("zeco-00001", (1, 1), [(9, 4), (3, 10)]),))
+    remove = DeltaSpec((remove_net("zeco-00001"),))
+    incremental_replan(baseline, add)
+    stats = incremental_replan(baseline, remove)
+    assert stats.nets_searched == 0
+    assert_matches_full(
+        baseline, full_plan(apply_delta(apply_delta(SPEC, add), remove))
+    )
+    assert_usage_consistent(baseline)
+
+
+def test_capacity_change_inside_escalated_read_box():
+    # A wall between x=2 and x=3 is open only at y >= 17. With
+    # window_margin=1 the net's windows span y 8..10 and (4x) 5..13, so
+    # its search escalates to the full grid and detours through the gap,
+    # expanding the whole left side of the wall on the way.
+    config = RabidConfig(window_margin=1)
+    wall = tuple(((2, y), (3, y), 0) for y in range(17))
+    spec = ScenarioSpec(
+        grid=20, num_nets=0, capacity=2, total_sites=200,
+        added_nets=(("a", (1, 9), ((4, 9),)),),
+        capacity_overrides=wall,
+    )
+    state = full_plan(spec, config)
+    tree = state.routes["a"]
+    assert tree.search_escalated
+    assert min(y for _, y in tree.nodes) == 9
+    x0, y0, x1, y1 = tree.search_box
+    assert x0 <= 2 <= x1 and y0 <= 3 <= y1
+    # Opening the wall at y=3 lies outside the tree's 4x-margin box
+    # (y >= 5) but inside the read box, so the net is searched again
+    # and takes the shorter detour.
+    delta = DeltaSpec((set_capacity([(2, 3, 3, 3, 2)]),))
+    stats = incremental_replan(state, delta)
+    assert stats.nets_searched == 1
+    assert stats.rerouted_nets == ["a"]
+    assert min(y for _, y in state.routes["a"].nodes) == 3
+    assert_matches_full(state, full_plan(apply_delta(spec, delta), config))
+
+
+def test_checkpoint_restored_trees_count_as_reading_everything(baseline):
+    payload = json.loads(json.dumps(checkpoint_to_dict("b0", baseline)))
+    _, restored = checkpoint_from_dict(payload)
+    assert all(
+        getattr(t, "search_box", None) is None for t in restored.routes.values()
+    )
+    delta = DELTAS["set_capacity"]
+    stats = incremental_replan(restored, delta)
+    assert stats.nets_searched == stats.nets_total
+    assert_matches_full(restored, full_plan(apply_delta(SPEC, delta)))
+    # The re-searched trees carry boxes again, so the next delta is local.
+    stats = incremental_replan(restored, DELTAS["move_macro"])
+    assert stats.nets_searched < stats.nets_total
+
+
+def _children_cover(tracer, parent_name, child_names):
+    (parent,) = tracer.spans_named(parent_name)
+    children = [s for s in tracer.spans if s.parent == parent.index]
+    assert [s.name for s in children] == list(child_names)
+    for span in children:
+        assert parent.start_s <= span.start_s <= span.end_s <= parent.end_s
+    covered = sum(s.duration_s for s in children)
+    assert covered >= 0.9 * parent.duration_s
+
+
+def test_route_and_buffer_spans_cover_their_parent():
+    tracer = Tracer()
+    state = full_plan(SPEC, tracer=tracer)
+    _children_cover(
+        tracer,
+        "service.full_plan",
+        ("service.full_plan.route", "service.full_plan.buffer"),
+    )
+    tracer = Tracer()
+    incremental_replan(state, DELTAS["combined"], tracer=tracer)
+    _children_cover(
+        tracer,
+        "service.incremental_replan",
+        ("service.replan.route", "service.replan.buffer"),
+    )
