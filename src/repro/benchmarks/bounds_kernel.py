@@ -11,10 +11,13 @@ certified gap.
 
 The acceptance workloads are the 32x32 / 500-net scenario (the repo's
 standard kernel size) and the 64x64 / 2000-net stretch; ``--fast`` runs
-a 16x16 / 120-net smoke for CI. Invariants checked on every entry —
-reflected in the exit code — are ``gap >= 0`` (the bound never exceeds
-the plan it certifies) and ``certificate_ok`` (the saved dual lengths
-re-verify against a fresh pricing pass).
+a 16x16 / 120-net smoke for CI. The gap follows
+:func:`repro.bounds.optimality_gap`: it is ``None`` (with ``gap_reason``
+saying why) unless the plan routes every net within the capacities.
+Invariants checked on every entry — reflected in the exit code — are
+``gap >= 0`` (the bound never exceeds the plan it certifies) and
+``certificate_ok`` (the saved dual lengths re-verify against a fresh
+pricing pass).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.benchmarks.emit import append_trajectory_entry, load_trajectory
 from repro.bounds import (
     BoundOptions,
     bound_scenario,
+    optimality_gap,
     plan_surrogate_cost,
     round_candidates,
     verify_certificate,
@@ -56,6 +60,7 @@ class BoundsKernelResult:
     plan_cost: float
     plan_unassigned_nets: int
     gap: Optional[float]
+    gap_reason: str
     lambda_lb: float
     certified_infeasible: bool
     theta: float
@@ -70,12 +75,11 @@ class BoundsKernelResult:
     def invariants_ok(self) -> bool:
         """The two recorded guarantees: nonnegative gap, valid cert.
 
-        A ``None`` gap is only acceptable when there is nothing to
-        compare against — the bound certified infeasibility, or the
-        plan itself left nets unassigned.
+        A ``None`` gap is only acceptable with a ``gap_reason`` from
+        :func:`~repro.bounds.optimality_gap` — nothing to compare against.
         """
         if self.gap is None:
-            gap_ok = self.certified_infeasible or self.plan_unassigned_nets > 0
+            gap_ok = bool(self.gap_reason)
         else:
             gap_ok = self.gap >= 0.0
         return gap_ok and self.certificate_ok
@@ -135,13 +139,7 @@ def run_bounds_kernel(
         )
         rounded = round_candidates(graph, bound.candidates, seed=seed)
 
-        gap: Optional[float] = None
-        if not bound.certified_infeasible and unassigned == 0:
-            gap = round(
-                (plan_cost - bound.lower_bound)
-                / max(bound.lower_bound, 1.0),
-                6,
-            )
+        gap, gap_reason = optimality_gap(bound, metrics)
         results.append(
             BoundsKernelResult(
                 params={
@@ -159,6 +157,7 @@ def run_bounds_kernel(
                 plan_cost=plan_cost,
                 plan_unassigned_nets=unassigned,
                 gap=gap,
+                gap_reason=gap_reason,
                 lambda_lb=round(bound.lambda_lb, 6),
                 certified_infeasible=bound.certified_infeasible,
                 theta=bound.theta,
@@ -200,6 +199,7 @@ def append_bounds_entry(
             "plan_cost": result.plan_cost,
             "plan_unassigned_nets": result.plan_unassigned_nets,
             "gap": result.gap,
+            "gap_reason": result.gap_reason,
             "lambda_lb": result.lambda_lb,
             "certified_infeasible": result.certified_infeasible,
             "theta": result.theta,

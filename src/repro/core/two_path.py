@@ -17,6 +17,13 @@ once per search (usage never changes during one), and ``dist``/``pred``
 live in epoch-stamped per-graph label buffers. Integer labels order exactly
 like the ``(tile, j)`` tuples a dict-keyed wavefront would compare, so ties
 pop in the same order and the returned paths are identical.
+
+Each strict two-path search is bounded by the two-path it replaces: the
+old route's cheapest legal labeled walk caps the cost worth exploring,
+and a reverse wire-only wavefront gives every tile a floor on its cost to
+the goal. Labels whose distance plus floor exceeds the cap are dropped.
+The settle order is unchanged, so the result is too (see
+:func:`repro.routing.maze._buffered_wavefront`).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from repro.errors import ConfigurationError
 from repro.routing.maze import (
     _buffered_wavefront,
     _dijkstra_flat,
+    _floor_mask,
     _label_chain,
     _label_workspace,
     _search_mask,
@@ -39,6 +47,12 @@ from repro.tilegraph.graph import Tile, TileGraph
 from repro.tilegraph.ledger import SiteCostCache
 
 INF = float("inf")
+
+#: Relative slack on a search bound: labels are dropped only above
+#: ``bound * (1 + _BOUND_SLACK)``. The bound, the floors and the labels
+#: sum the same steps in different orders, so they can differ in the last
+#: bits; the slack absorbs that (pruning less is always exact).
+_BOUND_SLACK = 1e-9
 
 
 def _edge_costs(graph: TileGraph, wire_cost: Callable) -> List[float]:
@@ -85,6 +99,7 @@ def best_buffered_path(
     window: Tuple[int, int, int, int],
     wire_cost: Callable[[TileGraph, Tile, Tile], float] = congestion_cost,
     tracer=None,
+    old_path: Optional[List[Tile]] = None,
 ) -> Optional[List[Tile]]:
     """Min-cost start-to-goal path under wire + buffer congestion costs.
 
@@ -97,8 +112,21 @@ def best_buffered_path(
     ``goal`` may be a single tile or a set of tiles (the path ends at the
     cheapest reachable member — used by the Stage-4 rescue pass to attach
     a sink to an existing tree). ``wire_cost`` is ``congestion_cost`` or
-    ``soft_congestion_cost``. With an enabled ``tracer`` the search counts
-    ``buffered_path.heap_pops`` and ``buffered_path.labels_settled``.
+    ``soft_congestion_cost``.
+
+    ``old_path`` is a known route from ``start`` to a goal. When it can be
+    legally buffered inside the search's mask, the cost of its cheapest
+    labeled walk bounds the search: a reverse wire-only wavefront gives
+    each tile a floor on its cost to the goal, and labels whose distance
+    plus floor exceeds the bound are dropped (see
+    :func:`repro.routing.maze._buffered_wavefront`). The returned path is
+    the same as without ``old_path``; only the work shrinks.
+
+    With an enabled ``tracer`` the search counts
+    ``buffered_path.heap_pops`` and ``buffered_path.labels_settled``, and
+    with ``old_path`` also ``buffered_path.floor_pops`` (the reverse
+    wavefront) or, when the old route gives no bound,
+    ``buffered_path.unbounded``.
 
     Returns the tile path (start first) or ``None`` when no legal path
     exists within the window.
@@ -110,12 +138,31 @@ def best_buffered_path(
     q = _site_costs(graph, q_of, window)
     ny = graph.ny
     Lp = length_limit + 1
+    bound = INF
+    if old_path is not None and old_path[0] == start:
+        bound = _route_bound(
+            graph, old_path, goals, q, costs, length_limit, forbidden, window
+        )
+    tracing = tracer is not None and tracer.enabled
+    floor = None
+    limit = INF
+    if bound == INF:
+        mask = _search_mask(graph, goals, forbidden, window)
+        if old_path is not None and tracing:
+            tracer.count("buffered_path.unbounded")
+    else:
+        limit = bound * (1.0 + _BOUND_SLACK)
+        mask, floor, floor_pops = _floor_mask(
+            graph, goals, forbidden, window, costs, limit
+        )
+        if tracing:
+            tracer.count("buffered_path.floor_pops", floor_pops)
     ws = _label_workspace(graph, graph.num_tiles * Lp)
     found, pops, settled = _buffered_wavefront(
-        graph.flat(), ws, start[0] * ny + start[1],
-        _search_mask(graph, goals, forbidden, window), q, length_limit, costs,
+        graph.flat(), ws, start[0] * ny + start[1], mask, q, length_limit,
+        costs, floor=floor, limit=limit,
     )
-    if tracer is not None and tracer.enabled:
+    if tracing:
         tracer.count("buffered_path.heap_pops", pops)
         tracer.count("buffered_path.labels_settled", settled)
     if not found:
@@ -127,6 +174,49 @@ def best_buffered_path(
         if not tiles or tiles[-1] != t:
             tiles.append(t)
     return _remove_loops([(t // ny, t % ny) for t in tiles])
+
+
+def _route_bound(
+    graph: TileGraph,
+    path: List[Tile],
+    goals: Set[Tile],
+    q: List[float],
+    costs: List[float],
+    length_limit: int,
+    forbidden: Set[Tile],
+    window: Tuple[int, int, int, int],
+) -> float:
+    """Cost of the cheapest legal labeled walk along ``path`` (start first).
+
+    The walk follows the search's own rules and arithmetic — wire steps
+    ``d + costs[e]`` advance ``j`` up to ``length_limit``, buffers ``d +
+    q[v]`` reset it — so no search result costs more. ``INF`` when the
+    path leaves the window, enters a forbidden non-goal tile, ends off
+    the goals, crosses an ``INF`` edge or cannot be buffered in time.
+    """
+    x0, y0, x1, y1 = window
+    if path[-1] not in goals:
+        return INF
+    for tile in path:
+        if not (x0 <= tile[0] <= x1 and y0 <= tile[1] <= y1):
+            return INF
+        if tile in forbidden and tile not in goals:
+            return INF
+    ny = graph.ny
+    edge_id = graph.edge_id
+    # by_j[j]: cheapest walk so far that ends at the current tile with j.
+    by_j = [0.0] + [INF] * length_limit
+    for u, v in zip(path, path[1:]):
+        qu = q[u[0] * ny + u[1]]
+        if qu != INF:
+            buffered = min(by_j[1:]) + qu
+            if buffered < by_j[0]:
+                by_j[0] = buffered
+        step = costs[edge_id(u, v)]
+        if step == INF:
+            return INF
+        by_j = [INF] + [d + step for d in by_j[:-1]]
+    return min(by_j)
 
 
 def _remove_loops(path: List[Tile]) -> List[Tile]:
@@ -211,7 +301,7 @@ def optimize_two_paths(
         window = _window_for(graph, head, tail, window_margin)
         new_path = best_buffered_path(
             graph, tail, head, q_of, length_limit, forbidden, window,
-            tracer=tracer,
+            tracer=tracer, old_path=old_path[::-1],
         )
         if new_path is None:
             # No bufferable path within capacity; try any within-capacity

@@ -207,11 +207,14 @@ def _dijkstra_flat(
     window: Tuple[int, int, int, int],
     blocked: Sequence[int] = (),
     expanded_tiles: Optional[List[int]] = None,
+    limit: float = _INF,
 ) -> Tuple[int, int, int]:
     """Flat-index wavefront from ``seeds`` until the cheapest target settles.
 
     Returns ``(target_idx, pops, lookups)`` with ``target_idx`` of -1
-    when no target is reachable within the window under finite costs.
+    when no target is reachable within the window under finite costs, or
+    when the search stopped at a popped distance above ``limit`` (tiles
+    beyond ``limit`` are never settled).
     Parent links land in ``ws.parent``/``ws.parent_eid`` (valid for this
     epoch only). Seeds are expandable even when they lie outside the
     window — only *neighbor* tiles are window-clipped, matching the
@@ -251,6 +254,8 @@ def _dijkstra_flat(
         pops += 1
         if not live[u]:
             continue
+        if d > limit:
+            break
         live[u] = 0
         mark(u)
         if u in targets:
@@ -318,6 +323,50 @@ def _search_mask(
     return mask
 
 
+def _floor_mask(
+    graph: TileGraph,
+    goals: Iterable[Tile],
+    forbidden: Iterable[Tile],
+    window: Tuple[int, int, int, int],
+    costs: Sequence[float],
+    limit: float,
+) -> Tuple[bytearray, List[float], int]:
+    """Search mask cut to tiles within ``limit`` of a goal, plus floors.
+
+    A reverse tile wavefront seeded at the in-window goals runs over the
+    same tiles and edges :func:`_search_mask` opens (window, forbidden
+    tiles blocked, ``INF`` edges impassable) and stops once its popped
+    distance exceeds ``limit``. Each settled tile's distance is its exact
+    wire-only cost to the nearest goal: a lower bound on any labeled
+    continuation (buffer costs are ``>= 0``) and consistent, ``floor[u]
+    <= costs[e] + floor[v]`` for every edge ``e = (u, v)`` it read.
+
+    Returns ``(mask, floor, pops)``: the mask opens only the settled
+    tiles (goals keep their ``_GOAL`` code) and ``floor`` is the tile
+    workspace's distance list, valid at those tiles until the graph's
+    next tile search. Tiles never settled are blocked: no walk through
+    them reaches a goal within ``limit``.
+    """
+    x0, y0, x1, y1 = window
+    ny = graph.ny
+    goal_ids = [
+        x * ny + y for x, y in goals if x0 <= x <= x1 and y0 <= y <= y1
+    ]
+    ws = workspace_for(graph)
+    settled: List[int] = []
+    _, pops, _ = _dijkstra_flat(
+        graph.flat(), ws, costs, [(g, 0.0) for g in goal_ids], set(), window,
+        blocked=[x * ny + y for x, y in forbidden], expanded_tiles=settled,
+        limit=limit,
+    )
+    mask = bytearray(graph.num_tiles)
+    for t in settled:
+        mask[t] = _OPEN
+    for g in goal_ids:
+        mask[g] = _GOAL
+    return mask, ws.dist, pops
+
+
 def _buffered_wavefront(
     flat,
     ws: RoutingWorkspace,
@@ -329,6 +378,8 @@ def _buffered_wavefront(
     goals_needed: int = 1,
     wire_base: float = 0.0,
     buffer_base: float = 0.0,
+    floor: Optional[Sequence[float]] = None,
+    limit: float = _INF,
 ) -> Tuple[List[int], int, int]:
     """Labeled ``(tile, j)`` wavefront from tile ``start`` (a gate, ``j = 0``).
 
@@ -354,6 +405,19 @@ def _buffered_wavefront(
     its whole path among them — settle in the same order with the same
     distances and predecessors as in the unpruned search. (This needs
     step costs ``>= 0`` only; float ``+`` is monotone.)
+
+    With a per-tile ``floor`` (a consistent lower bound on the cost from a
+    tile to the nearest goal, see :func:`_floor_mask`) no label of tile
+    ``v`` and distance ``nd`` with ``nd + floor[v] > limit`` is pushed,
+    wire or buffer step alike; ``floor`` is read only at tiles open in
+    ``mask``. When ``limit`` is at least the cost of some legal walk to a
+    goal, with a small relative slack for float rounding, this drops only
+    labels that cannot lie on a path to the first goal label: a kept
+    label's predecessors pass the test too (``floor`` is consistent), and
+    a dropped label could only have dominated labels of its own tile with
+    larger distances. The labels that remain settle in the same ``(d,
+    s)`` order with the same distances and predecessors, so the returned
+    goal labels and their chains are unchanged.
 
     Returns ``(goal_labels, heap_pops, labels_settled)`` in settle order;
     ``labels_settled`` also counts dominated labels that were pushed
@@ -381,6 +445,7 @@ def _buffered_wavefront(
     stamp[s0] = labeled
     pred[s0] = -1
     heap.append((0.0, s0))
+    bounded = floor is not None
     found: List[int] = []
     pops = 0
     settled = 0
@@ -408,7 +473,9 @@ def _buffered_wavefront(
             if qv != _INF:
                 nd = d + buffer_base + qv
                 ns = s - j
-                if stamp[ns] < labeled or nd < dist[ns]:
+                if (stamp[ns] < labeled or nd < dist[ns]) and not (
+                    bounded and nd + floor[t] > limit
+                ):
                     dist[ns] = nd
                     stamp[ns] = labeled
                     pred[ns] = s
@@ -428,6 +495,8 @@ def _buffered_wavefront(
                 nd = d + step
                 ns = v * Lp + j
                 if stamp[ns] < labeled or nd < dist[ns]:
+                    if bounded and nd + floor[v] > limit:
+                        continue
                     dist[ns] = nd
                     stamp[ns] = labeled
                     pred[ns] = s

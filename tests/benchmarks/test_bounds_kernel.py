@@ -1,6 +1,7 @@
 """The gap-vs-epsilon benchmark kernel behind BENCH_bounds.json."""
 
 import json
+from dataclasses import replace
 
 from repro.benchmarks.bounds_kernel import (
     append_bounds_entry,
@@ -25,6 +26,28 @@ class TestKernel:
         # Same workload, different epsilon: params must differ so both
         # rows coexist in the trajectory.
         assert results[0].params != results[1].params
+
+    def test_overflowing_plan_reports_no_gap(self):
+        # Capacity 2 on 8x8 with 30 nets: the bound is feasible and every
+        # net is assigned, but the plan overflows, so no gap is reported.
+        (result,) = run_bounds_kernel(
+            grid=8, num_nets=30, capacity=2, total_sites=120,
+            epsilons=(0.5,), iterations=2,
+        )
+        assert not result.certified_infeasible
+        assert result.plan_unassigned_nets == 0
+        assert result.gap is None
+        assert result.gap_reason == "plan-overflow"
+        assert result.invariants_ok
+
+    def test_none_gap_needs_a_reason(self):
+        (result,) = run_bounds_kernel(
+            grid=8, num_nets=10, total_sites=120,
+            epsilons=(0.5,), iterations=2,
+        )
+        assert result.gap_reason == ""
+        assert not replace(result, gap=None).invariants_ok
+        assert replace(result, gap=None, gap_reason="no-bound").invariants_ok
 
     def test_entries_keyed_per_epsilon(self, tmp_path):
         out = str(tmp_path / "BENCH_bounds.json")
@@ -51,6 +74,7 @@ class TestKernel:
         data = json.loads(open(out).read())
         (entry,) = data["entries"]
         assert entry["gap"] >= 0.0
+        assert entry["gap_reason"] == ""
         assert entry["certificate_ok"] is True
 
 

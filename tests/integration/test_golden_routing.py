@@ -129,3 +129,26 @@ class TestPlannerGolden:
         # The full default plan (two Stage-4 passes plus rescue), which
         # spends most of its time in the buffered (tile, j) wavefront.
         _assert_planner_matches_golden("planner_ami49_seed0.json")
+
+    def test_ami49_seed1_signature_matches_golden(self):
+        # Held-out seed: the plan with the most Stage-4 two-paths whose old
+        # route cannot be legally buffered (searched without a bound).
+        from repro.benchmarks import load_benchmark
+        from repro.benchmarks.buffering_kernel import buffering_signature
+        from repro.core import RabidConfig, RabidPlanner
+
+        golden = load_golden("planner_ami49_seed1_signature.json")
+        bench = load_benchmark(golden["circuit"], seed=golden["seed"])
+        config = RabidConfig(
+            length_limit=bench.spec.length_limit,
+            window_margin=10,
+            stage4_iterations=golden["stage4_iterations"],
+        )
+        result = RabidPlanner(bench.graph, bench.netlist, config).run()
+        assert len(result.failed_nets) == golden["failed_nets"]
+        assert result.final_metrics.num_buffers == golden["num_buffers"]
+        assert result.final_metrics.overflows == golden["overflows"]
+        assert (
+            buffering_signature(result.routes, bench.graph, result.failed_nets)
+            == golden["buffering_signature"]
+        )
